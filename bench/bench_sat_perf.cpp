@@ -17,7 +17,8 @@
 // checksum, pruned_sim and portfolio must report identical iterations,
 // queries, and key (the engine's determinism contract). JSON goes to
 // BENCH_sat_perf.json (override with --out) so CI can archive the
-// trajectory; the in-binary gate requires pruned_sim to beat naive by
+// trajectory. Each mode row carries props_per_s, the canonical solver's
+// propagations per second of attack wall-clock. The in-binary gate requires pruned_sim to beat naive by
 // --min-speedup (default 5x, the acceptance bar, on the full-size default
 // benchmark; 2x on the seconds-scale --smoke configuration).
 #include <cstdio>
@@ -238,7 +239,7 @@ int main(int argc, char** argv) {
         "\"propagations\": %lld, \"learned\": %lld, \"peak_clauses\": %lld, "
         "\"cnf_initial\": %lld, \"cnf_dip\": %lld, "
         "\"cnf_per_iter\": %.2f, \"key_rows_folded\": %d, "
-        "\"speedup_vs_naive\": %.2f}%s\n",
+        "\"props_per_s\": %.0f, \"speedup_vs_naive\": %.2f}%s\n",
         m.name.c_str(), m.attack.elapsed_s, m.attack.iterations,
         static_cast<unsigned long long>(m.attack.queries),
         static_cast<long long>(m.attack.conflicts),
@@ -249,6 +250,10 @@ int main(int argc, char** argv) {
         static_cast<long long>(m.attack.stats.cnf_initial_clauses),
         static_cast<long long>(m.attack.stats.cnf_dip_clauses),
         m.attack.stats.cnf_clauses_per_iter, m.attack.stats.key_rows_resolved,
+        m.attack.elapsed_s > 0
+            ? static_cast<double>(m.attack.stats.propagations) /
+                  m.attack.elapsed_s
+            : 0.0,
         m.attack.elapsed_s > 0 ? naive_s / m.attack.elapsed_s : 0.0,
         i + 1 < modes.size() ? "," : "");
     json += buf;

@@ -12,9 +12,18 @@ Also validates a campaign JSON document written by ``--out-json``: every
 ``cells_replaced``) and every ``summary`` entry the per-defense aggregate
 shape.
 
+Metrics and campaign ``obs`` counters named ``sat.*`` must be solver
+counters this build publishes (``SAT_COUNTERS``) and must be mutually
+consistent (restarts never exceed conflicts, reductions never exceed
+restarts).
+
 Also validates a bench JSON document against its schema: ``--bench netlist``
 checks the shape bench_netlist_perf writes (counts, matching structural
-checksums, and the per-path/per-phase timing rows).
+checksums, and the per-path/per-phase timing rows). ``--bench sat`` checks
+bench_sat_perf output: one run, or ``{"runs": [...]}`` holding runs of
+several builds on one machine, which must agree on the benchmark, the
+reference key checksum and every mode's solver counters (the committed
+history records builds that do not move the search).
 
 Usage:
   scripts/validate_obs.py --trace trace.json [--require-cats job,flow-stage,...]
@@ -22,6 +31,7 @@ Usage:
   scripts/validate_obs.py --campaign campaign.json \\
       [--require-defenses xor,latch] [--require-attacks sat,none]
   scripts/validate_obs.py --bench netlist --bench-json BENCH_netlist_perf.json
+  scripts/validate_obs.py --bench sat --bench-json BENCH_sat_perf.json
 
 Exits non-zero with a diagnostic on the first violation. Stdlib only.
 """
@@ -59,6 +69,11 @@ CAMPAIGN_RUNTIME_KEYS = {
 }
 CAMPAIGN_RUNTIME_COUNTS = ("rows_resumed", "rows_executed", "cache_builds",
                            "cache_reuses")
+# Stable counters the SAT attack publishes once per attack (canonical solver
+# plus the key-extraction solve). Zero deltas are omitted from snapshots, so
+# an absent counter reads as 0.
+SAT_COUNTERS = {"sat.dips", "sat.conflicts", "sat.propagations",
+                "sat.restarts", "sat.db_reductions"}
 
 
 def fail(msg):
@@ -125,6 +140,7 @@ def validate_metrics(path, require_counters):
             fail(f"{path}: required counter {name!r} absent"
                  f" (present: {sorted(doc['counters'])})")
     validate_sim_isa_counters(path, doc["counters"])
+    validate_sat_counters(path, doc["counters"])
     print(f"validate_obs: OK: {path}: {len(doc['counters'])} counters,"
           f" {len(doc['gauges'])} gauges, {len(doc['histograms'])} histograms")
 
@@ -151,6 +167,30 @@ def validate_sim_isa_counters(path, counters):
     unknown = {k for k in counters if k.startswith("sim.isa.")} - known_isas
     if unknown:
         fail(f"{path}: unknown sim.isa counters {sorted(unknown)}")
+
+
+def validate_sat_counters(path, counters):
+    """Check the solver counters for unknown names and consistency.
+
+    Every restart follows at least one conflict and every learnt-database
+    reduction runs at a restart, so restarts <= conflicts and
+    db_reductions <= restarts; a DIP comes from a SAT verdict, which needs
+    propagation.
+    """
+    unknown = {k for k in counters if k.startswith("sat.")} - SAT_COUNTERS
+    if unknown:
+        fail(f"{path}: unknown sat counters {sorted(unknown)}"
+             f" (known: {sorted(SAT_COUNTERS)})")
+    get = lambda name: counters.get(name, 0)  # noqa: E731
+    if get("sat.restarts") > get("sat.conflicts"):
+        fail(f"{path}: sat.restarts={get('sat.restarts')} exceeds"
+             f" sat.conflicts={get('sat.conflicts')}")
+    if get("sat.db_reductions") > get("sat.restarts"):
+        fail(f"{path}: sat.db_reductions={get('sat.db_reductions')} exceeds"
+             f" sat.restarts={get('sat.restarts')}")
+    if get("sat.dips") > 0 and get("sat.propagations") == 0:
+        fail(f"{path}: sat.dips={get('sat.dips')} with no"
+             " sat.propagations")
 
 
 def validate_campaign(path, require_defenses, require_attacks):
@@ -200,6 +240,9 @@ def validate_campaign(path, require_defenses, require_attacks):
         missing = CAMPAIGN_SUMMARY_KEYS - entry.keys()
         if missing:
             fail(f"{path}: summary[{i}] missing keys {sorted(missing)}")
+    obs = doc.get("obs")
+    if isinstance(obs, dict) and isinstance(obs.get("counters"), dict):
+        validate_sat_counters(path, obs["counters"])
     if "runtime" in doc:
         validate_campaign_runtime(path, doc["runtime"], len(doc["results"]))
     summarized = {e["defense"] for e in doc["summary"]}
@@ -323,16 +366,67 @@ def validate_netlist_bench(path):
           f" {doc['load_lint_speedup']}x load+lint speedup")
 
 
+SAT_BENCH_KEYS = {"benchmark", "algorithm", "luts", "key_bits", "threads",
+                  "checksum", "modes"}
+SAT_BENCH_MODES = ("naive", "pruned", "pruned_sim", "portfolio")
+SAT_MODE_KEYS = {"name", "seconds", "iterations", "queries", "conflicts",
+                 "decisions", "propagations", "learned", "peak_clauses",
+                 "props_per_s", "speedup_vs_naive"}
+# Solver counters every run in one history file must agree on.
+SAT_TRAJECTORY_KEYS = ("iterations", "queries", "conflicts", "decisions",
+                       "propagations", "learned", "peak_clauses")
+
+
+def validate_sat_bench(path):
+    doc = load_json(path)
+    if not isinstance(doc, dict):
+        fail(f"{path}: top-level value must be an object")
+    runs = doc["runs"] if "runs" in doc else [doc]
+    if not isinstance(runs, list) or not runs:
+        fail(f"{path}: 'runs' must be a non-empty list")
+    for r, run in enumerate(runs):
+        where = f"{path}: runs[{r}]"
+        if not isinstance(run, dict):
+            fail(f"{where} is not an object")
+        missing = SAT_BENCH_KEYS - run.keys()
+        if missing:
+            fail(f"{where} missing keys {sorted(missing)}")
+        names = [m.get("name") for m in run["modes"]]
+        if tuple(names) != SAT_BENCH_MODES:
+            fail(f"{where} modes {names} != {list(SAT_BENCH_MODES)}")
+        for m in run["modes"]:
+            missing = SAT_MODE_KEYS - m.keys()
+            if missing:
+                fail(f"{where} mode {m['name']} missing keys"
+                     f" {sorted(missing)}")
+            if m["seconds"] <= 0 or m["props_per_s"] <= 0:
+                fail(f"{where} mode {m['name']} must report positive"
+                     " seconds and props_per_s")
+        # The bench only writes JSON after every mode's key matched the
+        # reference chip, so runs of one benchmark must share the checksum.
+        for key in ("benchmark", "algorithm", "checksum"):
+            if run[key] != runs[0][key]:
+                fail(f"{where} {key}={run[key]!r} differs from runs[0]"
+                     f" {runs[0][key]!r}")
+        for m, m0 in zip(run["modes"], runs[0]["modes"]):
+            for key in SAT_TRAJECTORY_KEYS:
+                if m[key] != m0[key]:
+                    fail(f"{where} mode {m['name']} {key}={m[key]} !="
+                         f" runs[0] {m0[key]} (trajectory moved)")
+    print(f"validate_obs: OK: {path}: {len(runs)} run(s) of"
+          f" {runs[0]['benchmark']}/{runs[0]['algorithm']}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trace", help="Chrome trace JSON to validate")
     ap.add_argument("--metrics", help="metrics JSON to validate")
     ap.add_argument("--campaign", help="campaign --out-json document to"
                     " validate (defense axis columns)")
-    ap.add_argument("--bench", choices=["netlist"],
+    ap.add_argument("--bench", choices=["netlist", "sat"],
                     help="bench JSON schema to validate (--bench-json)")
-    ap.add_argument("--bench-json", default="BENCH_netlist_perf.json",
-                    help="bench JSON path (default BENCH_netlist_perf.json)")
+    ap.add_argument("--bench-json",
+                    help="bench JSON path (default BENCH_<bench>_perf.json)")
     ap.add_argument("--require-cats", default="",
                     help="comma-separated span categories that must appear")
     ap.add_argument("--require-counters", default="",
@@ -356,8 +450,11 @@ def main():
     if args.campaign:
         validate_campaign(args.campaign, split(args.require_defenses),
                           split(args.require_attacks))
+    bench_json = args.bench_json or f"BENCH_{args.bench}_perf.json"
     if args.bench == "netlist":
-        validate_netlist_bench(args.bench_json)
+        validate_netlist_bench(bench_json)
+    if args.bench == "sat":
+        validate_sat_bench(bench_json)
 
 
 if __name__ == "__main__":

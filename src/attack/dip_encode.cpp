@@ -20,7 +20,7 @@ void encode_xor2_lits(sat::Solver& s, Var t, Lit a, Lit b) {
 
 DipEncoder::DipEncoder(sat::Solver& solver, const Netlist& nl,
                        std::vector<const KeyVars*> key_copies)
-    : solver_(&solver), nl_(&nl) {
+    : solver_(&solver), nl_(&nl), topo_(nl.topo_order()) {
   if (key_copies.empty()) {
     throw std::invalid_argument("DipEncoder: no key copies");
   }
@@ -205,7 +205,7 @@ void DipEncoder::fold_pattern(const std::vector<bool>& inputs) {
   std::size_t slot = 0;
   for (const CellId id : nl_->inputs()) vals_[id] = make_const(inputs[slot++]);
   for (const CellId id : nl_->dffs()) vals_[id] = make_const(inputs[slot++]);
-  for (const CellId id : nl_->topo_order()) {
+  for (const CellId id : topo_) {
     const Cell& c = nl_->cell(id);
     if (c.kind == CellKind::kInput || c.kind == CellKind::kDff) continue;
     vals_[id] = fold_cell(id);
@@ -413,7 +413,7 @@ DipEncodeStats DipEncoder::add_io_pair(const std::vector<bool>& inputs,
   if (units_only || pinned.empty()) return stats;
 
   for (const auto& [v, bit] : pinned) mark_needed(v.node);
-  for (const CellId id : nl_->topo_order()) {
+  for (const CellId id : topo_) {
     if (needed_stamp_[id] != epoch_) continue;
     const EncVal v = vals_[id];
     if (v.kind == EncVal::kCell && v.node == id) emit_cell(id, stats);

@@ -108,6 +108,9 @@ class DipEncoder {
 
   sat::Solver* solver_;
   const Netlist* nl_;
+  /// The netlist's topological order, computed once: the netlist is const
+  /// for the encoder's lifetime and every pattern walks it.
+  std::vector<CellId> topo_;
   /// Per copy, per LUT cell: that copy's key variables (resolved from the
   /// name-keyed maps once, at construction).
   std::vector<std::vector<std::vector<sat::Var>>> key_by_cell_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 
 namespace stt::sat {
 
@@ -81,7 +83,8 @@ bool Solver::deadline_expired() const {
 Var Solver::new_var() {
   const Var v = static_cast<Var>(activity_.size());
   activity_.push_back(0.0);
-  assigns_.push_back(kUndef);
+  lit_vals_.push_back(kUndef);
+  lit_vals_.push_back(kUndef);
   phase_.push_back(config_.default_phase);
   level_.push_back(0);
   reason_.push_back(kNoClause);
@@ -154,11 +157,24 @@ void Solver::bump_var(Var v) {
   if (heap_pos_[v] >= 0) heap_up(heap_pos_[v]);
 }
 
-void Solver::bump_clause(Clause& c) {
-  c.activity += clause_inc_;
-  if (c.activity > kRescale) {
-    for (Clause& cl : clauses_) {
-      if (cl.learnt) cl.activity /= kRescale;
+double Solver::clause_activity(ClauseRef cr) const {
+  double a;
+  std::memcpy(&a, &arena_[cr + 1], sizeof a);
+  return a;
+}
+
+void Solver::set_clause_activity(ClauseRef cr, double a) {
+  std::memcpy(&arena_[cr + 1], &a, sizeof a);
+}
+
+void Solver::bump_clause(ClauseRef cr) {
+  const double a = clause_activity(cr) + clause_inc_;
+  set_clause_activity(cr, a);
+  if (a > kRescale) {
+    for (ClauseRef c = 0; c < arena_.size(); c += clause_words(c)) {
+      if (clause_learnt(c)) {
+        set_clause_activity(c, clause_activity(c) / kRescale);
+      }
     }
     clause_inc_ /= kRescale;
   }
@@ -170,27 +186,35 @@ void Solver::decay_activities() {
 }
 
 void Solver::attach(ClauseRef cr) {
-  const Clause& c = clauses_[cr];
-  if (c.lits.size() == 2) {
-    bin_watches_[(~c.lits[0]).code()].push_back({c.lits[1], cr});
-    bin_watches_[(~c.lits[1]).code()].push_back({c.lits[0], cr});
+  const Lit l0 = clause_lit(cr, 0);
+  const Lit l1 = clause_lit(cr, 1);
+  if (clause_size(cr) == 2) {
+    bin_watches_[(~l0).code()].push_back({l1, cr});
+    bin_watches_[(~l1).code()].push_back({l0, cr});
     return;
   }
-  watches_[(~c.lits[0]).code()].push_back({cr, c.lits[1]});
-  watches_[(~c.lits[1]).code()].push_back({cr, c.lits[0]});
+  watches_[(~l0).code()].push_back({cr, l1});
+  watches_[(~l1).code()].push_back({cr, l0});
 }
 
-void Solver::note_clause_stored() {
+Solver::ClauseRef Solver::store_clause(std::span<const Lit> lits,
+                                       bool learnt) {
+  const std::size_t words = kHeaderWords + lits.size();
+  if (arena_.size() + words >= kNoClause) {
+    throw std::length_error("sat::Solver: clause arena exhausted");
+  }
+  const auto cr = static_cast<ClauseRef>(arena_.size());
+  arena_.push_back(static_cast<std::uint32_t>(lits.size()) << 2 |
+                   (learnt ? kLearntBit : 0u));
+  arena_.push_back(0);
+  arena_.push_back(0);  // activity 0.0
+  for (const Lit l : lits) {
+    arena_.push_back(static_cast<std::uint32_t>(l.code()));
+  }
+  ++clauses_stored_;
   ++live_clauses_;
   if (live_clauses_ > peak_clauses_) peak_clauses_ = live_clauses_;
-}
-
-void Solver::enqueue(Lit l, ClauseRef reason) {
-  const Var v = l.var();
-  assigns_[v] = l.negated() ? kFalse : kTrue;
-  level_[v] = static_cast<int>(trail_lim_.size());
-  reason_[v] = reason;
-  trail_.push_back(l);
+  return cr;
 }
 
 bool Solver::add_clause(std::initializer_list<Lit> lits) {
@@ -203,36 +227,39 @@ bool Solver::add_clause(std::span<const Lit> lits_in) {
   backtrack(0);
 
   // Simplify at level 0: sort, dedupe, drop false literals, detect
-  // tautologies and already-satisfied clauses.
-  std::vector<Lit> lits(lits_in.begin(), lits_in.end());
+  // tautologies and already-satisfied clauses. Survivors are compacted in
+  // place (the write index never passes the read index).
+  std::vector<Lit>& lits = add_scratch_;
+  lits.assign(lits_in.begin(), lits_in.end());
   std::sort(lits.begin(), lits.end(),
             [](Lit a, Lit b) { return a.code() < b.code(); });
-  std::vector<Lit> out;
+  std::size_t n = 0;
   for (std::size_t i = 0; i < lits.size(); ++i) {
     if (i + 1 < lits.size() && lits[i] == lits[i + 1]) continue;
     if (i + 1 < lits.size() && lits[i] == ~lits[i + 1]) return true;  // taut
     const LBool v = lit_value(lits[i]);
     if (v == kTrue) return true;  // satisfied at level 0
     if (v == kFalse) continue;    // falsified at level 0: drop
-    out.push_back(lits[i]);
+    lits[n++] = lits[i];
   }
 
-  if (out.empty()) {
+  if (n == 0) {
     ok_ = false;
     return false;
   }
-  if (out.size() == 1) {
-    enqueue(out[0], kNoClause);
+  if (n == 1) {
+    enqueue(lits[0], kNoClause);
     if (propagate() != kNoClause) ok_ = false;
     return ok_;
   }
-  clauses_.push_back({std::move(out), 0.0, false, false});
-  attach(static_cast<ClauseRef>(clauses_.size() - 1));
-  note_clause_stored();
+  attach(store_clause(std::span<const Lit>(lits.data(), n), false));
   return true;
 }
 
 Solver::ClauseRef Solver::propagate() {
+  // Literal values are read by code straight from the arena words; the
+  // value array never reallocates here (only new_var() grows it).
+  const LBool* const vals = lit_vals_.data();
   while (qhead_ < trail_.size()) {
     const Lit p = trail_[qhead_++];
     ++stats_propagations_;
@@ -240,7 +267,7 @@ Solver::ClauseRef Solver::propagate() {
     // Binary clauses first: no watch migration, no clause dereference on
     // the satisfied path.
     for (const BinWatch& bw : bin_watches_[p.code()]) {
-      const LBool v = lit_value(bw.other);
+      const LBool v = vals[bw.other.code()];
       if (v == kTrue) continue;
       if (v == kFalse) {
         qhead_ = trail_.size();
@@ -249,57 +276,53 @@ Solver::ClauseRef Solver::propagate() {
       enqueue(bw.other, bw.cr);
     }
 
-    auto& ws = watches_[p.code()];
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < ws.size()) {
+    // New watches always go to other lists (a replacement watch is never
+    // false, so it is never ~p), so `ws` stays put while it is walked.
+    std::vector<Watch>& ws = watches_[p.code()];
+    const auto false_code = static_cast<std::uint32_t>((~p).code());
+    Watch* i = ws.data();
+    Watch* j = i;
+    Watch* const end = i + ws.size();
+    while (i != end) {
       // Blocker check: if some other literal of the clause is already true
       // the clause is satisfied; keep the watch and move on.
-      if (lit_value(ws[i].blocker) == kTrue) {
-        ws[j++] = ws[i++];
+      if (vals[i->blocker.code()] == kTrue) {
+        *j++ = *i++;
         continue;
       }
-      const ClauseRef cr = ws[i].cr;
-      Clause& c = clauses_[cr];
-      if (c.deleted) {
-        ++i;
-        continue;
-      }
+      const ClauseRef cr = i->cr;
+      std::uint32_t* const lits = &arena_[cr + kHeaderWords];
       // Normalize: the falsified watcher (~p) sits at index 1.
-      const Lit false_lit = ~p;
-      if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
-      const Lit first = c.lits[0];
-      if (lit_value(first) == kTrue) {
-        ws[j++] = {cr, first};
+      if (lits[0] == false_code) std::swap(lits[0], lits[1]);
+      const std::uint32_t first = lits[0];
+      const Lit first_lit = Lit::from_code(static_cast<std::int32_t>(first));
+      if (vals[first] == kTrue) {
+        *j++ = {cr, first_lit};
         ++i;
         continue;
       }
       // Look for a replacement watch.
-      bool found = false;
-      for (std::size_t k = 2; k < c.lits.size(); ++k) {
-        if (lit_value(c.lits[k]) != kFalse) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[(~c.lits[1]).code()].push_back({cr, first});
-          found = true;
-          break;
-        }
-      }
-      if (found) {
+      const std::uint32_t size = clause_size(cr);
+      std::uint32_t k = 2;
+      while (k < size && vals[lits[k]] == kFalse) ++k;
+      if (k < size) {
+        std::swap(lits[1], lits[k]);
+        watches_[lits[1] ^ 1].push_back({cr, first_lit});
         ++i;  // moved to another watch list
         continue;
       }
       // Unit or conflicting.
-      ws[j++] = {cr, first};
+      *j++ = {cr, first_lit};
       ++i;
-      if (lit_value(first) == kFalse) {
-        while (i < ws.size()) ws[j++] = ws[i++];
-        ws.resize(j);
+      if (vals[first] == kFalse) {
+        while (i != end) *j++ = *i++;
+        ws.resize(static_cast<std::size_t>(j - ws.data()));
         qhead_ = trail_.size();
         return cr;
       }
-      enqueue(first, cr);
+      enqueue(first_lit, cr);
     }
-    ws.resize(j);
+    ws.resize(static_cast<std::size_t>(j - ws.data()));
   }
   return kNoClause;
 }
@@ -308,9 +331,11 @@ void Solver::backtrack(int target_level, bool save_phases) {
   if (static_cast<int>(trail_lim_.size()) <= target_level) return;
   const std::size_t bound = trail_lim_[target_level];
   for (std::size_t i = trail_.size(); i > bound; --i) {
-    const Var v = trail_[i - 1].var();
-    if (save_phases) phase_[v] = (assigns_[v] == kTrue);
-    assigns_[v] = kUndef;
+    const Lit p = trail_[i - 1];
+    const Var v = p.var();
+    if (save_phases) phase_[v] = !p.negated();
+    lit_vals_[p.code()] = kUndef;
+    lit_vals_[p.code() ^ 1] = kUndef;
     reason_[v] = kNoClause;
     heap_insert(v);
   }
@@ -331,8 +356,10 @@ bool Solver::lit_redundant(Lit l, std::uint32_t levels_mask) {
   while (!analyze_stack_.empty()) {
     const Lit q = analyze_stack_.back();
     analyze_stack_.pop_back();
-    const Clause& c = clauses_[reason_[q.var()]];
-    for (const Lit p : c.lits) {
+    const ClauseRef cr = reason_[q.var()];
+    const std::uint32_t size = clause_size(cr);
+    for (std::uint32_t k = 0; k < size; ++k) {
+      const Lit p = clause_lit(cr, k);
       const Var v = p.var();
       if (v == q.var() || seen_[v] || level_[v] == 0) continue;
       if (reason_[v] == kNoClause || (abstract_level(v) & levels_mask) == 0) {
@@ -364,9 +391,10 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& learnt,
   analyze_clear_.clear();
 
   do {
-    Clause& c = clauses_[confl];
-    if (c.learnt) bump_clause(c);
-    for (const Lit q : c.lits) {
+    if (clause_learnt(confl)) bump_clause(confl);
+    const std::uint32_t size = clause_size(confl);
+    for (std::uint32_t k = 0; k < size; ++k) {
+      const Lit q = clause_lit(confl, k);
       if (p != Lit::undef() && q == p) continue;
       const Var v = q.var();
       if (!seen_[v] && level_[v] > 0) {
@@ -426,45 +454,72 @@ Lit Solver::pick_branch() {
           config_.random_branch_freq &&
       num_vars() > 0) {
     const Var v = static_cast<Var>(next_random() % num_vars());
-    if (assigns_[v] == kUndef) return Lit(v, !phase_[v]);
+    if (lit_value(pos(v)) == kUndef) return Lit(v, !phase_[v]);
   }
   while (!heap_.empty()) {
     const Var v = heap_pop();
-    if (assigns_[v] == kUndef) return Lit(v, !phase_[v]);
+    if (lit_value(pos(v)) == kUndef) return Lit(v, !phase_[v]);
   }
   return Lit::undef();
 }
 
 void Solver::reduce_db() {
-  // Only called at decision level 0 (right after a restart), so rebuilding
-  // watches is safe.
+  // Only called at decision level 0 (right after a restart), so compacting
+  // the arena and rebuilding watches is safe. Candidates are collected in
+  // creation (arena) order before the sort, so the unstable sort sees the
+  // same sequence on every build. The arena holds no deleted clause here:
+  // each collection below removes the ones this call marks.
   std::vector<ClauseRef> learnts;
-  for (ClauseRef cr = 0; cr < static_cast<ClauseRef>(clauses_.size()); ++cr) {
-    const Clause& c = clauses_[cr];
-    if (c.learnt && !c.deleted && c.lits.size() > 2) learnts.push_back(cr);
+  for (ClauseRef cr = 0; cr < arena_.size(); cr += clause_words(cr)) {
+    if (clause_learnt(cr) && clause_size(cr) > 2) {
+      learnts.push_back(cr);
+    }
   }
   std::sort(learnts.begin(), learnts.end(), [this](ClauseRef a, ClauseRef b) {
-    return clauses_[a].activity < clauses_[b].activity;
+    return clause_activity(a) < clause_activity(b);
   });
   const std::size_t drop = learnts.size() / 2;
   for (std::size_t i = 0; i < drop; ++i) {
-    clauses_[learnts[i]].deleted = true;
+    arena_[learnts[i]] |= kDeletedBit;
     --learnt_count_;
     --live_clauses_;
   }
   ++stats_db_reductions_;
+  collect_garbage();
   rebuild_watches();
+}
+
+// Order-preserving in-place compaction of the arena. Every clause moves to
+// a lower (or the same) offset, so one forward pass suffices. The only refs
+// outside the watch lists (which rebuild_watches() regenerates) are the
+// reasons of the level-0 trail. Conflict analysis never reads a level-0
+// reason, so they are cleared rather than forwarded.
+void Solver::collect_garbage() {
+  for (const Lit p : trail_) reason_[p.var()] = kNoClause;
+  ClauseRef to = 0;
+  for (ClauseRef from = 0; from < arena_.size();) {
+    const std::uint32_t words = clause_words(from);
+    if (!clause_deleted(from)) {
+      if (to != from) {
+        std::copy(arena_.begin() + from, arena_.begin() + from + words,
+                  arena_.begin() + to);
+      }
+      to += words;
+    }
+    from += words;
+  }
+  arena_.resize(to);
 }
 
 void Solver::rebuild_watches() {
   for (auto& w : watches_) w.clear();
   for (auto& w : bin_watches_) w.clear();
-  for (ClauseRef cr = 0; cr < static_cast<ClauseRef>(clauses_.size()); ++cr) {
-    if (!clauses_[cr].deleted) attach(cr);
+  for (ClauseRef cr = 0; cr < arena_.size(); cr += clause_words(cr)) {
+    attach(cr);
   }
 }
 
-bool Solver::value(Var v) const { return assigns_[v] == kTrue; }
+bool Solver::value(Var v) const { return lit_value(pos(v)) == kTrue; }
 
 Result Solver::solve(std::span<const Lit> assumptions) {
   last_stop_ = StopCause::kNone;
@@ -480,8 +535,7 @@ Result Solver::solve(std::span<const Lit> assumptions) {
 
   const std::int64_t budget_end =
       conflict_budget_ < 0 ? -1 : stats_conflicts_ + conflict_budget_;
-  std::int64_t max_learnts =
-      static_cast<std::int64_t>(clauses_.size()) / 3 + 2000;
+  std::int64_t max_learnts = clauses_stored_ / 3 + 2000;
   std::int64_t restart_index = 0;
   std::int64_t restart_limit =
       luby_sequence(restart_index) * config_.restart_unit;
@@ -503,11 +557,9 @@ Result Solver::solve(std::span<const Lit> assumptions) {
       if (learnt.size() == 1) {
         enqueue(learnt[0], kNoClause);
       } else {
-        clauses_.push_back({learnt, 0.0, true, false});
-        const auto cr = static_cast<ClauseRef>(clauses_.size() - 1);
-        bump_clause(clauses_[cr]);
+        const ClauseRef cr = store_clause(learnt, true);
+        bump_clause(cr);
         attach(cr);
-        note_clause_stored();
         enqueue(learnt[0], cr);
         ++learnt_count_;
       }
@@ -528,6 +580,7 @@ Result Solver::solve(std::span<const Lit> assumptions) {
 
     if (conflicts_since_restart >= restart_limit) {
       backtrack(0);
+      ++stats_restarts_;
       ++restart_index;
       restart_limit = luby_sequence(restart_index) * config_.restart_unit;
       conflicts_since_restart = 0;
@@ -564,7 +617,7 @@ Result Solver::solve(std::span<const Lit> assumptions) {
         // Save the model's phases now: the next solve() unwinds the trail
         // without saving (see the entry backtrack).
         for (const Lit p : trail_) phase_[p.var()] = !p.negated();
-        return Result::kSat;  // model in assigns_
+        return Result::kSat;  // model in lit_vals_
       }
       ++stats_decisions_;
     }

@@ -6,7 +6,8 @@
 // literals, dedicated binary-clause watch lists, first-UIP conflict
 // analysis with recursive learnt-clause minimization, VSIDS decision
 // heuristic with exponential decay, phase saving across incremental calls,
-// Luby restarts, and learnt-clause database reduction.
+// Luby restarts, and learnt-clause database reduction. Clauses live inline
+// in one flat arena (see the layout note at `ClauseRef`).
 // `solve()` accepts assumption literals plus two resource caps — a conflict
 // budget and a wall-clock deadline — so attacks can run under a resource
 // cap and report "undecided" (with the cause) rather than hanging.
@@ -127,19 +128,27 @@ class Solver {
   std::int64_t peak_clauses() const { return peak_clauses_; }
   /// Times the learnt database was halved.
   std::int64_t db_reductions() const { return stats_db_reductions_; }
+  /// Luby restarts taken inside solve() (the final model or refutation
+  /// does not count as one).
+  std::int64_t restarts() const { return stats_restarts_; }
 
  private:
   enum LBool : std::uint8_t { kTrue, kFalse, kUndef };
 
-  struct Clause {
-    std::vector<Lit> lits;
-    double activity = 0.0;
-    bool learnt = false;
-    bool deleted = false;
-  };
-
-  using ClauseRef = std::int32_t;
-  static constexpr ClauseRef kNoClause = -1;
+  // Clause arena. Every stored clause (problem or learnt, size >= 2) lives
+  // inline in one flat word array, addressed by its first word's offset:
+  //   [0]     header: size << 2 | deleted << 1 | learnt
+  //   [1..2]  activity (a double, copied in and out with memcpy)
+  //   [3..]   literal codes, the two watched literals first
+  // Clauses sit in creation order. reduce_db() marks clauses deleted and
+  // then compacts the arena in place, order-preserving, so creation order
+  // (which reduce_db's candidate list and rebuild_watches() rely on)
+  // survives every collection.
+  using ClauseRef = std::uint32_t;
+  static constexpr ClauseRef kNoClause = ~ClauseRef{0};
+  static constexpr std::uint32_t kHeaderWords = 3;
+  static constexpr std::uint32_t kLearntBit = 1u;
+  static constexpr std::uint32_t kDeletedBit = 2u;
 
   /// Watcher for clauses of size >= 3: `blocker` is some other literal of
   /// the clause; when it is already true the clause is satisfied and the
@@ -158,21 +167,42 @@ class Solver {
     ClauseRef cr;
   };
 
-  LBool lit_value(Lit l) const {
-    const LBool v = assigns_[l.var()];
-    if (v == kUndef) return kUndef;
-    return (v == kTrue) != l.negated() ? kTrue : kFalse;
-  }
+  LBool lit_value(Lit l) const { return lit_vals_[l.code()]; }
 
-  void enqueue(Lit l, ClauseRef reason);
+  std::uint32_t clause_size(ClauseRef cr) const { return arena_[cr] >> 2; }
+  bool clause_learnt(ClauseRef cr) const { return arena_[cr] & kLearntBit; }
+  bool clause_deleted(ClauseRef cr) const {
+    return arena_[cr] & kDeletedBit;
+  }
+  /// Words the clause at `cr` occupies, header included.
+  std::uint32_t clause_words(ClauseRef cr) const {
+    return kHeaderWords + clause_size(cr);
+  }
+  Lit clause_lit(ClauseRef cr, std::uint32_t k) const {
+    return Lit::from_code(
+        static_cast<std::int32_t>(arena_[cr + kHeaderWords + k]));
+  }
+  double clause_activity(ClauseRef cr) const;
+  void set_clause_activity(ClauseRef cr, double a);
+
+  ClauseRef store_clause(std::span<const Lit> lits, bool learnt);
+  // Defined here so the propagation loop inlines it.
+  void enqueue(Lit l, ClauseRef reason) {
+    lit_vals_[l.code()] = kTrue;
+    lit_vals_[l.code() ^ 1] = kFalse;
+    level_[l.var()] = static_cast<int>(trail_lim_.size());
+    reason_[l.var()] = reason;
+    trail_.push_back(l);
+  }
   ClauseRef propagate();
   void analyze(ClauseRef confl, std::vector<Lit>& learnt, int& bt_level);
   void backtrack(int level, bool save_phases = true);
   Lit pick_branch();
   void bump_var(Var v);
-  void bump_clause(Clause& c);
+  void bump_clause(ClauseRef cr);
   void decay_activities();
   void reduce_db();
+  void collect_garbage();
   void rebuild_watches();
   void attach(ClauseRef cr);
   bool lit_redundant(Lit l, std::uint32_t levels_mask);
@@ -181,7 +211,6 @@ class Solver {
   }
   std::uint64_t next_random();
   bool deadline_expired() const;
-  void note_clause_stored();
 
   // Heap with positions for VSIDS.
   void heap_insert(Var v);
@@ -190,11 +219,14 @@ class Solver {
   void heap_down(int i);
   bool heap_contains(Var v) const { return heap_pos_[v] >= 0; }
 
-  std::vector<Clause> clauses_;
+  std::vector<std::uint32_t> arena_;
+  /// Clauses ever stored, deleted ones included: the learnt-database limit
+  /// scales with it.
+  std::int64_t clauses_stored_ = 0;
   std::vector<std::vector<Watch>> watches_;        // indexed by lit code
   std::vector<std::vector<BinWatch>> bin_watches_;  // indexed by lit code
-  std::vector<LBool> assigns_;
-  std::vector<bool> phase_;
+  std::vector<LBool> lit_vals_;  ///< indexed by lit code
+  std::vector<std::uint8_t> phase_;
   std::vector<int> level_;
   std::vector<ClauseRef> reason_;
   std::vector<Lit> trail_;
@@ -210,6 +242,7 @@ class Solver {
   std::vector<std::uint8_t> seen_;
   std::vector<Var> analyze_clear_;
   std::vector<Lit> analyze_stack_;
+  std::vector<Lit> add_scratch_;
 
   SolverConfig config_;
   std::uint64_t rng_state_ = 0;
@@ -225,6 +258,7 @@ class Solver {
   std::int64_t stats_learned_ = 0;
   std::int64_t stats_clauses_added_ = 0;
   std::int64_t stats_db_reductions_ = 0;
+  std::int64_t stats_restarts_ = 0;
   std::int64_t live_clauses_ = 0;
   std::int64_t peak_clauses_ = 0;
   std::int64_t learnt_count_ = 0;  ///< live learnt clauses (reduction policy)

@@ -20,6 +20,24 @@ obs::Counter& dip_counter() {
   return c;
 }
 
+// Solver internals as stable counters. Published once per attack, from the
+// solvers whose trajectory is --jobs-independent (the canonical member and
+// the key-extraction solve), never from the propagation loop.
+void publish_solver_stats(const sat::Solver& s) {
+  static obs::Counter& conflicts =
+      obs::Metrics::global().counter("sat.conflicts");
+  static obs::Counter& propagations =
+      obs::Metrics::global().counter("sat.propagations");
+  static obs::Counter& restarts =
+      obs::Metrics::global().counter("sat.restarts");
+  static obs::Counter& reductions =
+      obs::Metrics::global().counter("sat.db_reductions");
+  conflicts.add(static_cast<std::uint64_t>(s.conflicts()));
+  propagations.add(static_cast<std::uint64_t>(s.propagations()));
+  restarts.add(static_cast<std::uint64_t>(s.restarts()));
+  reductions.add(static_cast<std::uint64_t>(s.db_reductions()));
+}
+
 // Pin an encoded copy's inputs to a concrete pattern and its outputs to the
 // oracle's response (legacy full-copy encoding).
 void constrain_io(sat::Solver& solver, const EncodedCircuit& enc,
@@ -130,6 +148,7 @@ SatAttackResult run_naive(const Netlist& hybrid, ScanOracle& oracle,
     constrain_io(solver, encode_comb(solver, hybrid, io_b), dip, response);
   }
 
+  publish_solver_stats(solver);
   result.queries = oracle.queries() - queries_before;
   result.conflicts = solver.conflicts();
   result.stats.decisions = solver.decisions();
@@ -360,6 +379,7 @@ SatAttackResult run_pruned(const Netlist& hybrid, ScanOracle& oracle,
   }
 
   // Canonical telemetry (identical across thread counts).
+  publish_solver_stats(canon.solver);
   result.conflicts = canon.solver.conflicts();
   result.stats.decisions = canon.solver.decisions();
   result.stats.propagations = canon.solver.propagations();
@@ -389,6 +409,7 @@ SatAttackResult run_pruned(const Netlist& hybrid, ScanOracle& oracle,
     }
     fs.set_conflict_budget(opt.work_budget);
     const sat::Result fr = fs.solve();
+    publish_solver_stats(fs);
     result.conflicts += fs.conflicts();
     result.stats.decisions += fs.decisions();
     result.stats.propagations += fs.propagations();

@@ -615,7 +615,11 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
     if (record.state == JobState::kCancelled && row.error.empty()) {
       row.error = record.error;
     }
-    report.profile.job_cpu_seconds += record.run_ms / 1e3;
+  }
+  // Job time covers every job the graph ran: circuit generation, the
+  // defense flows and the per-row attacks.
+  for (JobId id = 0; id < graph.size(); ++id) {
+    report.profile.job_cpu_seconds += graph.record(id).run_ms / 1e3;
   }
 
   // Replay resumed rows from the store — after the graph, because a

@@ -211,6 +211,10 @@ TEST(ObsCampaign, StableMetricsDeltaIdenticalAcrossJobs) {
             campaign_json(parallel, /*include_profile=*/false));
   if (obs::kEnabled) {
     EXPECT_TRUE(serial.obs.counters.count("sat.dips"));
+    // Solver internals are stable too: published once per attack from the
+    // canonical solver, never from portfolio helpers or per propagation.
+    EXPECT_TRUE(serial.obs.counters.count("sat.conflicts"));
+    EXPECT_TRUE(serial.obs.counters.count("sat.propagations"));
     EXPECT_TRUE(serial.obs.counters.count("flow.runs"));
     EXPECT_FALSE(serial.obs.counters.count("pool.tasks"));
   }

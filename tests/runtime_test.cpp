@@ -295,6 +295,21 @@ TEST(CampaignTest, ReportsProgressOncePerRow) {
   EXPECT_EQ(last_total, report.rows.size());
 }
 
+TEST(CampaignTest, JobCpuCountsGenAndDefenseJobs) {
+  // Without an attack nearly all job time is circuit generation and the
+  // defense flows; the profile must count those jobs too. Each row's
+  // flow_ms is timed inside its defense and attack job bodies, so the job
+  // total can never be below the rows' sum.
+  CampaignSpec spec = small_spec(2);
+  spec.attack = "none";
+  const CampaignReport report = run_campaign(spec);
+  double flow_ms = 0;
+  for (const CampaignRow& row : report.rows) flow_ms += row.flow_ms;
+  EXPECT_GT(flow_ms, 0.0);
+  EXPECT_GT(report.profile.job_cpu_seconds, 0.0);
+  EXPECT_GE(report.profile.job_cpu_seconds * 1e3, flow_ms);
+}
+
 TEST(CampaignTest, DefenseAttackMatrixIsByteIdenticalAcrossJobs) {
   CampaignSpec spec;
   spec.benchmarks = {"s641"};

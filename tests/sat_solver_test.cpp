@@ -3,6 +3,7 @@
 // causes, learnt-database reduction, and configuration-seeded portfolios.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "attack/sat.hpp"
@@ -165,6 +166,166 @@ TEST(SatSolverCore, ModelConsistentAfterReduceDb) {
     for (int i = 0; i < 6; ++i) occupancy += s2.value(holes[i][j]) ? 1 : 0;
     EXPECT_LE(occupancy, 1) << "hole " << j;
   }
+}
+
+// A seeded incremental workload for the trajectory pins below: a block of
+// level-0 facts (units plus binary implication chains, so level-0 literals
+// carry clause reasons through every database reduction), random 3-SAT over
+// the remaining variables near the satisfiability threshold, and rounds of
+// random assumptions with fresh clauses added between rounds.
+struct GoldenRun {
+  std::int64_t conflicts = 0;
+  std::int64_t decisions = 0;
+  std::int64_t propagations = 0;
+  std::int64_t learned = 0;
+  std::int64_t db_reductions = 0;
+  std::int64_t peak_clauses = 0;
+  std::uint64_t model_hash = 0;  ///< FNV-1a over every SAT model and verdict
+  int sat_rounds = 0;
+  int models_checked = 0;
+};
+
+constexpr int kGoldenFacts = 24;
+constexpr int kGoldenVars = 224;
+constexpr int kGoldenClauses = 800;
+constexpr int kGoldenRounds = 12;
+constexpr int kGoldenAssumptions = 6;
+
+// `late_facts` adds a fresh unit-plus-implication pair after every round:
+// those binary reasons are stored behind learnt clauses, so each database
+// reduction moves them and clears their level-0 reasons.
+GoldenRun run_golden_workload(const SolverConfig& config = {},
+                              bool late_facts = false) {
+  Rng rng(20160605);
+  Solver s;
+  s.set_config(config);
+  for (int v = 0; v < kGoldenVars; ++v) s.new_var();
+  std::vector<std::vector<Lit>> formula;
+  const auto add = [&](std::vector<Lit> c) {
+    formula.push_back(c);
+    s.add_clause(c);
+  };
+  const auto random_lit = [&](int lo) {
+    const Var v = lo + static_cast<Var>(rng() % (kGoldenVars - lo));
+    return Lit(v, (rng() & 1) != 0);
+  };
+  const auto random_ternary = [&]() {
+    std::vector<Lit> c;
+    while (c.size() < 3) {
+      const Lit l = random_lit(kGoldenFacts);
+      bool fresh = true;
+      for (const Lit o : c) fresh = fresh && o.var() != l.var();
+      if (fresh) c.push_back(l);
+    }
+    return c;
+  };
+
+  // Facts: three chains of eight, each rooted in a unit. The implications
+  // go in before their root, so the unit propagates through stored binary
+  // clauses (a clause added after its premise would shrink to a unit).
+  for (int chain = 0; chain < 3; ++chain) {
+    const Var root = chain * 8;
+    for (Var v = root + 1; v < root + 8; ++v) {
+      add({Lit(v - 1, chain != 1), Lit(v, (v & 1) != 0)});
+    }
+    add({Lit(root, chain == 1)});
+  }
+  for (int i = 0; i < kGoldenClauses; ++i) add(random_ternary());
+
+  GoldenRun run;
+  const auto fold = [&run](std::uint64_t x) {
+    run.model_hash = (run.model_hash ^ x) * 0x100000001b3ull;
+  };
+  run.model_hash = 0xcbf29ce484222325ull;
+  for (int round = 0; round < kGoldenRounds; ++round) {
+    std::vector<Lit> assume;
+    for (int k = 0; k < kGoldenAssumptions; ++k) {
+      assume.push_back(random_lit(kGoldenFacts));
+    }
+    const Result r = s.solve(assume);
+    fold(static_cast<std::uint64_t>(r));
+    if (r == Result::kSat) {
+      ++run.sat_rounds;
+      std::uint64_t word = 0;
+      for (Var v = 0; v < kGoldenVars; ++v) {
+        word = (word << 1) | (s.value(v) ? 1u : 0u);
+        if ((v & 63) == 63) fold(word);
+      }
+      fold(word);
+      // The model satisfies every clause ever added and every assumption.
+      bool ok = true;
+      for (const auto& c : formula) {
+        bool sat = false;
+        for (const Lit l : c) sat = sat || s.value(l.var()) != l.negated();
+        ok = ok && sat;
+      }
+      for (const Lit l : assume) ok = ok && s.value(l.var()) != l.negated();
+      EXPECT_TRUE(ok) << "round " << round;
+      ++run.models_checked;
+    }
+    for (int i = 0; i < 4; ++i) add(random_ternary());
+    if (late_facts) {
+      const Var a = s.new_var();
+      const Var b = s.new_var();
+      add({neg(a), Lit(b, (round & 1) != 0)});
+      add({pos(a)});
+    }
+  }
+  run.conflicts = s.conflicts();
+  run.decisions = s.decisions();
+  run.propagations = s.propagations();
+  run.learned = s.learned();
+  run.db_reductions = s.db_reductions();
+  run.peak_clauses = s.peak_clauses();
+  return run;
+}
+
+TEST(SatSolverCore, GoldenTrajectoryPinned) {
+  const GoldenRun run = run_golden_workload();
+  // The workload must exercise what the pins guard: several database
+  // reductions (each compacts the clause arena and clears level-0
+  // reasons) and a variable-activity rescale (var_inc grows by 1/0.95 per
+  // conflict and is rescaled past 1e100, i.e. after ~4,500 conflicts).
+  EXPECT_GE(run.db_reductions, 3);
+  EXPECT_GE(run.conflicts, 5000);
+  EXPECT_GE(run.sat_rounds, 1);
+  // Values produced by the clause-per-vector solver the flat arena
+  // replaced: any change to the search trajectory moves at least one.
+  EXPECT_EQ(run.conflicts, 16526);
+  EXPECT_EQ(run.decisions, 19952);
+  EXPECT_EQ(run.propagations, 645224);
+  EXPECT_EQ(run.learned, 16526);
+  EXPECT_EQ(run.db_reductions, 4);
+  EXPECT_EQ(run.peak_clauses, 8290);
+  EXPECT_EQ(run.model_hash, 17330808660082291972ull);
+}
+
+TEST(SatSolverCore, ModelsCorrectAfterGc) {
+  // Restart after every conflict, so reductions run as soon as the learnt
+  // limit allows, while late level-0 facts add binary clauses that sit
+  // behind deleted learnts and move with every compaction. Every model
+  // is checked against every clause and assumption inside the workload.
+  SolverConfig cfg;
+  cfg.restart_unit = 1;
+  const GoldenRun run = run_golden_workload(cfg, /*late_facts=*/true);
+  EXPECT_GE(run.db_reductions, 4);
+  EXPECT_GE(run.models_checked, 1);
+  EXPECT_EQ(run.models_checked, run.sat_rounds);
+}
+
+TEST(SatSolverCore, RestartsCounted) {
+  Solver s;
+  SolverConfig cfg;
+  cfg.restart_unit = 1;
+  s.set_config(cfg);
+  add_php(s, 7, 6);
+  EXPECT_EQ(s.restarts(), 0);
+  ASSERT_EQ(s.solve(), Result::kUnsat);
+  // Luby units of one conflict: a restart every few conflicts, and never
+  // more restarts than conflicts or fewer reductions than restarts allow.
+  EXPECT_GT(s.restarts(), 0);
+  EXPECT_LE(s.restarts(), s.conflicts());
+  EXPECT_LE(s.db_reductions(), s.restarts());
 }
 
 TEST(SatSolverCore, ConfiguredSolversAreDeterministic) {
