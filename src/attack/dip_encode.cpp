@@ -104,9 +104,10 @@ bool DipEncoder::normalize_gate(const Cell& c, std::vector<EncVal>& lits,
   return false;
 }
 
-void DipEncoder::lut_unknowns(const Cell& c, std::vector<EncVal>& unknowns,
-                              std::vector<int>& positions,
-                              std::uint32_t& base) const {
+void DipEncoder::lut_free_inputs(const Cell& c,
+                                 std::vector<EncVal>& unknowns,
+                                 std::vector<int>& positions,
+                                 std::uint32_t& base) const {
   unknowns.clear();
   positions.clear();
   base = 0;
@@ -148,7 +149,7 @@ DipEncoder::EncVal DipEncoder::fold_cell(CellId id) {
     }
     case CellKind::kLut: {
       std::uint32_t base = 0;
-      lut_unknowns(c, lit_scratch_, pos_scratch_, base);
+      lut_free_inputs(c, lit_scratch_, pos_scratch_, base);
       const auto it = known_.find(id);
       const auto row_known = [&](std::uint32_t row) {
         return it != known_.end() && (it->second.known_mask >> row) & 1ull;
@@ -248,7 +249,7 @@ void DipEncoder::mark_needed(CellId id) {
     // fan-in contributes nothing to the emitted clauses.
     if (c.kind == CellKind::kLut) {
       std::uint32_t base = 0;
-      lut_unknowns(c, lit_scratch_, pos_scratch_, base);
+      lut_free_inputs(c, lit_scratch_, pos_scratch_, base);
       for (const EncVal& v : lit_scratch_) {
         if (v.kind == EncVal::kCell) dfs_stack_.push_back(v.node);
       }
@@ -291,7 +292,7 @@ void DipEncoder::emit_cell(CellId id, DipEncodeStats& stats) {
 
   if (c.kind == CellKind::kLut) {
     std::uint32_t base = 0;
-    lut_unknowns(c, lit_scratch_, pos_scratch_, base);
+    lut_free_inputs(c, lit_scratch_, pos_scratch_, base);
     const std::vector<EncVal> unknowns = lit_scratch_;
     const std::vector<int> positions = pos_scratch_;
     const auto it = known_.find(id);

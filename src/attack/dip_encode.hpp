@@ -12,7 +12,7 @@
 //
 // Folding also resolves key bits outright: an output that collapses to a
 // single key-row literal pins that row to the oracle's response bit — a
-// free unit constraint, recorded in a `LutKnowledge` map (partial_eval.hpp)
+// free unit constraint, recorded in a `LutKnowledge` map (sim/ternary.hpp)
 // and treated as a constant by every later fold, so cones keep shrinking as
 // the attack learns. The simulation-guided warm-up exploits exactly this
 // with `units_only` sweeps of cheap random patterns.
@@ -27,9 +27,9 @@
 #include <string>
 #include <vector>
 
-#include "sim/partial_eval.hpp"
 #include "attack/sat.hpp"
 #include "netlist/netlist.hpp"
+#include "sim/ternary.hpp"
 
 namespace stt {
 
@@ -96,8 +96,9 @@ class DipEncoder {
   bool normalize_gate(const Cell& c, std::vector<EncVal>& lits, bool& invert,
                       EncVal& folded) const;
   /// Unknown-input positions and the constant base row of a LUT.
-  void lut_unknowns(const Cell& c, std::vector<EncVal>& unknowns,
-                    std::vector<int>& positions, std::uint32_t& base) const;
+  void lut_free_inputs(const Cell& c, std::vector<EncVal>& unknowns,
+                       std::vector<int>& positions,
+                       std::uint32_t& base) const;
 
   void resolve_row(CellId lut, std::uint32_t row, bool value,
                    DipEncodeStats& stats);

@@ -5,10 +5,10 @@
 #include <set>
 
 #include "attack/encode.hpp"
-#include "sim/partial_eval.hpp"
 #include "attack/sat.hpp"
 #include "obs/obs.hpp"
 #include "util/timer.hpp"
+#include "verify/dataflow.hpp"
 
 namespace stt {
 
@@ -78,8 +78,12 @@ GuidedSensResult run_guided_sensitization(const Netlist& hybrid,
   }
 
   const std::size_t n_real_in = oracle.num_inputs();
-  const std::size_t n_po = hybrid.outputs().size();
   const std::uint64_t start_queries = oracle.queries();
+  // Attacker-view waves under the knowledge gathered so far; they validate
+  // each SAT witness.
+  ForwardDataflow<TernaryDomain> ternary(hybrid,
+                                         TernaryDomain{.luts = &luts});
+  const std::vector<CellId> obs = observation_points(hybrid);
 
   // A row becomes permanently dead when the SAT query proves no
   // justify-and-propagate pattern exists *under the current knowledge*;
@@ -92,7 +96,6 @@ GuidedSensResult run_guided_sensitization(const Netlist& hybrid,
          !hit_time_limit) {
     progress = false;
     const AbstractView view = make_abstract(hybrid, luts);
-    const PartialEvaluator evaluator(hybrid, luts);
 
     for (const CellId lut : lut_ids) {
       LutKnowledge& st = luts[lut];
@@ -189,29 +192,19 @@ GuidedSensResult run_guided_sensitization(const Netlist& hybrid,
           for (std::size_t i = 0; i < n_real_in; ++i) {
             tri_in[i] = tri_from_bool(pattern[i]);
           }
-          const auto base = evaluator.eval(tri_in, kNullCell, Tri::kX);
+          ternary.domain().sources = tri_in;
+          const std::vector<Tri>& base = ternary.solve();
           bool valid = true;
           for (int i = 0; i < target.fanin_count() && valid; ++i) {
             const Tri v = base[target.fanins[i]];
             valid = (v != Tri::kX) &&
                     ((v == Tri::kOne) == ((row & (1u << i)) != 0));
           }
+          ForceProbe forced;
           int observable_index = -1;
-          Tri v1_at_obs = Tri::kX;
           if (valid) {
-            const auto w0 = evaluator.eval(tri_in, lut, Tri::kZero);
-            const auto w1 = evaluator.eval(tri_in, lut, Tri::kOne);
-            for (std::size_t o = 0; o < oracle.num_outputs(); ++o) {
-              const CellId cell =
-                  o < n_po ? hybrid.outputs()[o]
-                           : hybrid.cell(hybrid.dffs()[o - n_po]).fanins.at(0);
-              if (w0[cell] != Tri::kX && w1[cell] != Tri::kX &&
-                  w0[cell] != w1[cell]) {
-                observable_index = static_cast<int>(o);
-                v1_at_obs = w1[cell];
-                break;
-              }
-            }
+            forced = force_probe(ternary, obs, lut);
+            observable_index = forced.sensitized();
             valid = observable_index >= 0;
           }
           if (!valid) {
@@ -228,7 +221,8 @@ GuidedSensResult run_guided_sensitization(const Netlist& hybrid,
 
           const auto response = oracle.query(pattern);
           const bool row_value =
-              tri_from_bool(response[observable_index]) == v1_at_obs;
+              tri_from_bool(response[observable_index]) ==
+              forced.at1[observable_index];
           st.known_mask |= (1ull << row);
           if (row_value) st.value_mask |= (1ull << row);
           ++result.rows_resolved;

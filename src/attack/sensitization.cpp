@@ -2,10 +2,10 @@
 
 #include <optional>
 
-#include "sim/partial_eval.hpp"
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
+#include "verify/dataflow.hpp"
 
 namespace stt {
 
@@ -37,9 +37,12 @@ SensitizationResult run_sensitization_attack(const Netlist& hybrid,
     return result;
   }
 
-  PartialEvaluator evaluator(hybrid, luts);
+  // Attacker-view waves under the knowledge gathered so far: `eval`
+  // justifies rows, `probe` forces one LUT at a time.
+  ForwardDataflow<TernaryDomain> eval(hybrid, TernaryDomain{.luts = &luts});
+  ForwardDataflow<TernaryDomain> probe(hybrid, TernaryDomain{.luts = &luts});
+  const std::vector<CellId> obs = observation_points(hybrid);
   const std::size_t n_in = oracle.num_inputs();
-  const std::size_t n_po = hybrid.outputs().size();
   const std::uint64_t start_queries = oracle.queries();
 
   int resolved_rows = 0;
@@ -61,7 +64,9 @@ SensitizationResult run_sensitization_attack(const Netlist& hybrid,
 
     std::vector<Tri> tri_in(n_in);
     for (std::size_t i = 0; i < n_in; ++i) tri_in[i] = tri_from_bool(pattern[i]);
-    const std::vector<Tri> base = evaluator.eval(tri_in, kNullCell, Tri::kX);
+    eval.domain().sources = tri_in;
+    probe.domain().sources = tri_in;
+    const std::vector<Tri>& base = eval.solve();
 
     for (const CellId lut : lut_ids) {
       LutKnowledge& st = luts[lut];
@@ -82,25 +87,15 @@ SensitizationResult run_sensitization_attack(const Netlist& hybrid,
 
       // Propagate: does forcing the LUT output provably reach an
       // observable bit (PO or next-state) that the oracle reveals?
-      const auto w0 = evaluator.eval(tri_in, lut, Tri::kZero);
-      const auto w1 = evaluator.eval(tri_in, lut, Tri::kOne);
-      auto observable = [&](std::size_t idx) -> CellId {
-        if (idx < n_po) return hybrid.outputs()[idx];
-        return hybrid.cell(hybrid.dffs()[idx - n_po]).fanins.at(0);
-      };
-      for (std::size_t o = 0; o < response.size(); ++o) {
-        const CellId cell = observable(o);
-        const Tri v0 = w0[cell];
-        const Tri v1 = w1[cell];
-        if (v0 == Tri::kX || v1 == Tri::kX || v0 == v1) continue;
-        const bool row_value = (tri_from_bool(response[o]) == v1);
-        st.known_mask |= (1ull << row);
-        if (row_value) st.value_mask |= (1ull << row);
-        ++resolved_rows;
-        stale = 0;
-        if (st.complete()) ++resolved_luts;
-        break;
-      }
+      const ForceProbe forced = force_probe(probe, obs, lut);
+      const int o = forced.sensitized();
+      if (o < 0) continue;
+      const bool row_value = (tri_from_bool(response[o]) == forced.at1[o]);
+      st.known_mask |= (1ull << row);
+      if (row_value) st.value_mask |= (1ull << row);
+      ++resolved_rows;
+      stale = 0;
+      if (st.complete()) ++resolved_luts;
     }
   }
 

@@ -3,7 +3,7 @@
 //
 // ASSURE hides the constants of a design behind key bits. At gate level
 // that means two moves, both expressed with the attacker-view ternary
-// propagation the lint audit uses (TernarySimulator with unknown LUTs):
+// propagation the lint audit uses (verify/dataflow's TernaryDomain):
 //
 //  * convert: any gate whose output is *statically constant* under all-X
 //    inputs is rewritten in place into a key-fed LUT configured to that
@@ -20,8 +20,8 @@
 
 #include "defense/registry.hpp"
 #include "netlist/cleanup.hpp"
-#include "sim/ternary.hpp"
 #include "util/rng.hpp"
+#include "verify/dataflow.hpp"
 
 namespace stt::defense {
 
@@ -29,10 +29,8 @@ namespace {
 
 /// All-X attacker-view wave over the combinational fabric.
 std::vector<Tri> all_x_wave(const Netlist& nl) {
-  const TernarySimulator tsim(nl, /*lut_unknown=*/true);
-  const std::vector<Tri> pi(nl.inputs().size(), Tri::kX);
-  const std::vector<Tri> ff(nl.dffs().size(), Tri::kX);
-  return tsim.eval_comb(pi, ff);
+  ForwardDataflow<TernaryDomain> ternary(nl);
+  return ternary.solve();
 }
 
 bool definite(Tri t) { return t != Tri::kX; }

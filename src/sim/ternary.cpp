@@ -1,8 +1,21 @@
 #include "sim/ternary.hpp"
 
+#include <cassert>
 #include <stdexcept>
 
 namespace stt {
+
+namespace {
+
+// The value a truth mask takes over a non-empty set of rows: definite
+// exactly when it agrees on all of them.
+Tri agreed_value(std::uint64_t rows, std::uint64_t mask) {
+  const std::uint64_t ones = rows & mask;
+  if (ones == 0) return Tri::kZero;
+  return ones == rows ? Tri::kOne : Tri::kX;
+}
+
+}  // namespace
 
 char tri_char(Tri t) {
   switch (t) {
@@ -13,117 +26,63 @@ char tri_char(Tri t) {
   return '?';
 }
 
-Tri eval_cell_tri(const Cell& cell, std::span<const Tri> fanins,
-                  bool lut_unknown) {
-  if (cell.kind == CellKind::kLut && lut_unknown) return Tri::kX;
-  const int n = static_cast<int>(fanins.size());
-  if (n > kMaxLutInputs) {
-    // Wide standard gates: direct Kleene evaluation (no mask fits).
-    int ones = 0;
-    int zeros = 0;
-    int unknowns = 0;
-    for (const Tri v : fanins) {
-      if (v == Tri::kOne) ++ones;
-      if (v == Tri::kZero) ++zeros;
-      if (v == Tri::kX) ++unknowns;
-    }
-    switch (cell.kind) {
-      case CellKind::kAnd:
-        return zeros ? Tri::kZero : (unknowns ? Tri::kX : Tri::kOne);
-      case CellKind::kNand:
-        return zeros ? Tri::kOne : (unknowns ? Tri::kX : Tri::kZero);
-      case CellKind::kOr:
-        return ones ? Tri::kOne : (unknowns ? Tri::kX : Tri::kZero);
-      case CellKind::kNor:
-        return ones ? Tri::kZero : (unknowns ? Tri::kX : Tri::kOne);
-      case CellKind::kXor:
-        return unknowns ? Tri::kX
-                        : ((ones & 1) ? Tri::kOne : Tri::kZero);
-      case CellKind::kXnor:
-        return unknowns ? Tri::kX
-                        : ((ones & 1) ? Tri::kZero : Tri::kOne);
-      default:
-        throw std::invalid_argument("eval_cell_tri: fan-in too large");
-    }
+Tri eval_cell_tri(const Cell& cell, std::span<const Tri> fanins) {
+  if (cell.kind == CellKind::kLut) {
+    return agreed_value(consistent_rows(fanins), cell.lut_mask);
   }
-
-  // Enumerate completions of the unknown inputs; if all agree the output is
-  // known. With n <= 6 this costs at most 64 evaluations.
-  std::uint32_t known_bits = 0;
-  std::uint32_t unknown_positions[kMaxLutInputs];
-  int n_unknown = 0;
-  for (int i = 0; i < n; ++i) {
-    if (fanins[i] == Tri::kX) {
-      unknown_positions[n_unknown++] = static_cast<std::uint32_t>(i);
-    } else if (fanins[i] == Tri::kOne) {
-      known_bits |= (1u << i);
-    }
+  // Every standard gate is symmetric in its inputs, so the Kleene result
+  // depends only on how many inputs hold each value, at any width.
+  int ones = 0;
+  int zeros = 0;
+  int unknowns = 0;
+  for (const Tri v : fanins) {
+    if (v == Tri::kOne) ++ones;
+    if (v == Tri::kZero) ++zeros;
+    if (v == Tri::kX) ++unknowns;
   }
-
-  const std::uint64_t mask = cell.kind == CellKind::kLut
-                                 ? cell.lut_mask
-                                 : gate_truth_mask(cell.kind, n);
-  bool saw0 = false;
-  bool saw1 = false;
-  for (std::uint32_t combo = 0; combo < (1u << n_unknown); ++combo) {
-    std::uint32_t row = known_bits;
-    for (int j = 0; j < n_unknown; ++j) {
-      if (combo & (1u << j)) row |= (1u << unknown_positions[j]);
-    }
-    ((mask >> row) & 1ull) ? saw1 = true : saw0 = true;
-    if (saw0 && saw1) return Tri::kX;
+  switch (cell.kind) {
+    case CellKind::kConst0: return Tri::kZero;
+    case CellKind::kConst1: return Tri::kOne;
+    case CellKind::kBuf:
+      return ones ? Tri::kOne : (zeros ? Tri::kZero : Tri::kX);
+    case CellKind::kNot:
+      return ones ? Tri::kZero : (zeros ? Tri::kOne : Tri::kX);
+    case CellKind::kAnd:
+      return zeros ? Tri::kZero : (unknowns ? Tri::kX : Tri::kOne);
+    case CellKind::kNand:
+      return zeros ? Tri::kOne : (unknowns ? Tri::kX : Tri::kZero);
+    case CellKind::kOr:
+      return ones ? Tri::kOne : (unknowns ? Tri::kX : Tri::kZero);
+    case CellKind::kNor:
+      return ones ? Tri::kZero : (unknowns ? Tri::kX : Tri::kOne);
+    case CellKind::kXor:
+      return unknowns ? Tri::kX : ((ones & 1) ? Tri::kOne : Tri::kZero);
+    case CellKind::kXnor:
+      return unknowns ? Tri::kX : ((ones & 1) ? Tri::kZero : Tri::kOne);
+    default:
+      throw std::invalid_argument("eval_cell_tri: kind has no gate semantics");
   }
-  return saw1 ? Tri::kOne : Tri::kZero;
 }
 
-TernarySimulator::TernarySimulator(const Netlist& nl, bool lut_unknown)
-    : nl_(&nl), order_(nl.topo_order()), lut_unknown_(lut_unknown) {}
-
-std::vector<Tri> TernarySimulator::eval_comb(std::span<const Tri> pi_values,
-                                             std::span<const Tri> ff_values) const {
-  const Netlist& nl = *nl_;
-  if (pi_values.size() != nl.inputs().size() ||
-      ff_values.size() != nl.dffs().size()) {
-    throw std::invalid_argument("TernarySimulator: stimulus size mismatch");
+std::uint64_t consistent_rows(std::span<const Tri> fanins) {
+  // Row r has input i at bit i of r; kInputRows[i] marks the rows where it
+  // is 1.
+  static constexpr std::uint64_t kInputRows[kMaxLutInputs] = {
+      0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
+      0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull};
+  assert(fanins.size() <= kMaxLutInputs);
+  std::uint64_t rows = full_mask(static_cast<int>(fanins.size()));
+  for (std::size_t i = 0; i < fanins.size(); ++i) {
+    if (fanins[i] == Tri::kOne) rows &= kInputRows[i];
+    if (fanins[i] == Tri::kZero) rows &= ~kInputRows[i];
   }
-  std::vector<Tri> wave(nl.size(), Tri::kX);
-  for (std::size_t i = 0; i < pi_values.size(); ++i) {
-    wave[nl.inputs()[i]] = pi_values[i];
-  }
-  for (std::size_t j = 0; j < ff_values.size(); ++j) {
-    wave[nl.dffs()[j]] = ff_values[j];
-  }
-  Tri fin[kMaxGateInputs];
-  for (const CellId id : order_) {
-    const Cell& c = nl.cell(id);
-    if (c.kind == CellKind::kInput || c.kind == CellKind::kDff) continue;
-    if (c.kind == CellKind::kConst0) {
-      wave[id] = Tri::kZero;
-      continue;
-    }
-    if (c.kind == CellKind::kConst1) {
-      wave[id] = Tri::kOne;
-      continue;
-    }
-    const int n = c.fanin_count();
-    for (int i = 0; i < n; ++i) fin[i] = wave[c.fanins[i]];
-    wave[id] = eval_cell_tri(c, std::span<const Tri>(fin, n), lut_unknown_);
-  }
-  return wave;
+  return rows;
 }
 
-std::vector<Tri> TernarySimulator::outputs_of(std::span<const Tri> wave) const {
-  std::vector<Tri> out;
-  out.reserve(nl_->outputs().size());
-  for (const CellId id : nl_->outputs()) out.push_back(wave[id]);
-  return out;
-}
-
-std::vector<Tri> TernarySimulator::next_state_of(std::span<const Tri> wave) const {
-  std::vector<Tri> out;
-  out.reserve(nl_->dffs().size());
-  for (const CellId id : nl_->dffs()) out.push_back(wave[nl_->cell(id).fanins.at(0)]);
-  return out;
+Tri eval_partial_lut(const LutKnowledge& known, std::span<const Tri> fanins) {
+  const std::uint64_t rows = consistent_rows(fanins);
+  if (rows & ~known.known_mask) return Tri::kX;
+  return agreed_value(rows, known.value_mask);
 }
 
 }  // namespace stt

@@ -1,12 +1,11 @@
 #include "verify/audit.hpp"
 
-#include <stdexcept>
 #include <unordered_set>
 
-#include "sim/partial_eval.hpp"
 #include "graph/analysis.hpp"
 #include "sim/scoap.hpp"
 #include "util/strings.hpp"
+#include "verify/dataflow.hpp"
 
 namespace stt {
 
@@ -34,22 +33,8 @@ bool depends_on(std::uint64_t mask, std::uint64_t reachable, int fanin,
 StaticAuditResult run_static_audit(const Netlist& nl,
                                    const StaticAuditOptions& opt) {
   // The pass simulates and topologically orders the netlist, so it needs
-  // the structural layer's "evaluable" bar: resolved fan-ins and legal
-  // arities everywhere (topo_order itself rejects cycles).
-  for (CellId id = 0; id < nl.size(); ++id) {
-    const Cell& c = nl.cell(id);
-    const FaninRange range = fanin_range(c.kind);
-    if (c.fanin_count() < range.min || c.fanin_count() > range.max) {
-      throw std::runtime_error("static audit: illegal arity on '" +
-                               std::string(c.name) + "'");
-    }
-    for (const CellId f : c.fanins) {
-      if (f == kNullCell || f >= nl.size()) {
-        throw std::runtime_error("static audit: unresolved fan-in on '" +
-                                 std::string(c.name) + "'");
-      }
-    }
-  }
+  // the structural layer's "evaluable" bar.
+  require_evaluable(nl, "static audit");
 
   StaticAuditResult result;
   result.optimistic = security_report(nl, opt.model);
@@ -63,16 +48,9 @@ StaticAuditResult run_static_audit(const Netlist& nl,
   // is X, every missing gate's output is X (zero LUT knowledge), so a
   // definite wave value is a static constant no key and no stimulus can
   // change.
-  LutKnowledgeMap knowledge;
-  for (const CellId id : luts) {
-    LutKnowledge k;
-    k.rows = num_rows(nl.cell(id).fanin_count());
-    knowledge.emplace(id, k);
-  }
-  const PartialEvaluator evaluator(nl, knowledge);
-  const std::vector<Tri> all_x(nl.inputs().size() + nl.dffs().size(),
-                               Tri::kX);
-  const std::vector<Tri> wave = evaluator.eval(all_x, kNullCell, Tri::kX);
+  ForwardDataflow<TernaryDomain> ternary(nl);
+  const std::vector<Tri> wave = ternary.solve();
+  const std::vector<CellId> obs = observation_points(nl);
 
   const ScoapResult scoap = [&] {
     if (!opt.scoap || luts.empty()) return ScoapResult{};
@@ -101,18 +79,7 @@ StaticAuditResult run_static_audit(const Netlist& nl,
                                  tri_char(v));
       }
     }
-    for (std::uint32_t row = 0; row < num_rows(k); ++row) {
-      bool reachable = true;
-      for (int i = 0; i < k; ++i) {
-        const bool bit = row & (1u << i);
-        if ((audit.input_values[i] == Tri::kOne && !bit) ||
-            (audit.input_values[i] == Tri::kZero && bit)) {
-          reachable = false;
-          break;
-        }
-      }
-      if (reachable) audit.reachable_rows |= (1ull << row);
-    }
+    audit.reachable_rows = reachable_rows(c, wave);
 
     // Effective support and inferability over the reachable restriction.
     for (int i = 0; i < k; ++i) {
@@ -173,27 +140,9 @@ StaticAuditResult run_static_audit(const Netlist& nl,
     // Masked output: forcing the gate to 0 vs 1 leaves every observation
     // point (primary outputs and flip-flop D pins) at the same *definite*
     // value — sound proof that the secret never reaches the interface.
-    if (!nl.outputs().empty() || !nl.dffs().empty()) {
-      const std::vector<Tri> wave0 = evaluator.eval(all_x, id, Tri::kZero);
-      const std::vector<Tri> wave1 = evaluator.eval(all_x, id, Tri::kOne);
-      bool masked = true;
-      for (const CellId po : nl.outputs()) {
-        if (!definite(wave0[po]) || wave0[po] != wave1[po]) {
-          masked = false;
-          break;
-        }
-      }
-      if (masked) {
-        for (const CellId ff : nl.dffs()) {
-          const CellId d = nl.cell(ff).fanins.at(0);
-          if (!definite(wave0[d]) || wave0[d] != wave1[d]) {
-            masked = false;
-            break;
-          }
-        }
-      }
-      audit.masked = masked;
-      if (masked) {
+    if (!obs.empty()) {
+      audit.masked = force_probe(ternary, obs, id).masked();
+      if (audit.masked) {
         result.findings.push_back(make_finding(
             nl, LintRule::kMaskedLut, id,
             strformat("missing gate '%s' is statically blocked from every "

@@ -1,90 +1,99 @@
 #include "verify/dataflow.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace stt {
 
 // ---------------------------------------------------------------------------
-// TernaryDomain
+// TernaryDomain and the shared attacker-view checks
 // ---------------------------------------------------------------------------
 
-Tri TernaryDomain::source(const Netlist& /*nl*/, CellId id) const {
+Tri TernaryDomain::source(const Netlist& /*nl*/, CellId id,
+                          std::size_t slot) const {
   if (id == force_cell) return force_value;
-  return Tri::kX;
+  if (sources.empty()) return Tri::kX;
+  assert(slot < sources.size());
+  return sources[slot];
 }
 
 Tri TernaryDomain::transfer(const Netlist& nl, CellId id,
                             std::span<const Tri> fanins) const {
   if (id == force_cell) return force_value;
   const Cell& c = nl.cell(id);
-  if (c.kind == CellKind::kConst0) return Tri::kZero;
-  if (c.kind == CellKind::kConst1) return Tri::kOne;
-  return eval_cell_tri(c, fanins, lut_unknown);
+  if (c.kind == CellKind::kLut) {
+    if (luts == nullptr) return Tri::kX;
+    const auto it = luts->find(id);
+    if (it != luts->end()) return eval_partial_lut(it->second, fanins);
+  }
+  return eval_cell_tri(c, fanins);
 }
 
-// ---------------------------------------------------------------------------
-// IntervalDomain
-// ---------------------------------------------------------------------------
-
-BitInterval IntervalDomain::source(const Netlist& /*nl*/,
-                                   CellId /*id*/) const {
-  return BitInterval::top();
+void require_evaluable(const Netlist& nl, std::string_view pass) {
+  for (CellId id = 0; id < nl.size(); ++id) {
+    const Cell& c = nl.cell(id);
+    const FaninRange range = fanin_range(c.kind);
+    if (c.fanin_count() < range.min || c.fanin_count() > range.max) {
+      throw std::runtime_error(std::string(pass) + ": illegal arity on '" +
+                               std::string(c.name) + "'");
+    }
+    for (const CellId f : c.fanins) {
+      if (f == kNullCell || f >= nl.size()) {
+        throw std::runtime_error(std::string(pass) +
+                                 ": unresolved fan-in on '" +
+                                 std::string(c.name) + "'");
+      }
+    }
+  }
 }
 
-BitInterval IntervalDomain::transfer(const Netlist& nl, CellId id,
-                                     std::span<const BitInterval> fanins)
-    const {
-  const Cell& c = nl.cell(id);
-  if (c.kind == CellKind::kConst0) return BitInterval::constant(false);
-  if (c.kind == CellKind::kConst1) return BitInterval::constant(true);
-  if (c.kind == CellKind::kLut && lut_unknown) return BitInterval::top();
+std::vector<CellId> observation_points(const Netlist& nl) {
+  std::vector<CellId> obs(nl.outputs().begin(), nl.outputs().end());
+  for (const CellId ff : nl.dffs()) obs.push_back(nl.cell(ff).fanins.at(0));
+  return obs;
+}
 
-  const int n = static_cast<int>(fanins.size());
+std::uint64_t reachable_rows(const Cell& lut, std::span<const Tri> wave) {
+  Tri fin[kMaxLutInputs];
+  const int k = lut.fanin_count();
+  assert(k <= kMaxLutInputs);
+  for (int i = 0; i < k; ++i) fin[i] = wave[lut.fanins[i]];
+  return consistent_rows(std::span<const Tri>(fin, k));
+}
 
-  // Corner enumeration over the non-constant inputs: the output interval is
-  // [min, max] over every completion, exact for any single-output function.
-  // Wide gates fall back to the ternary transfer (identical result, no
-  // 2^free blowup) once the free-input count passes the mask width.
-  int free_positions[kMaxLutInputs];
-  int n_free = 0;
-  std::uint32_t base_row = 0;
-  bool too_wide = n > kMaxLutInputs;
-  for (int i = 0; i < n && !too_wide; ++i) {
-    const BitInterval& v = fanins[static_cast<std::size_t>(i)];
-    if (v.is_constant()) {
-      if (v.lo) base_row |= (1u << i);
-    } else if (n_free < kMaxLutInputs) {
-      free_positions[n_free++] = i;
-    } else {
-      too_wide = true;
+bool ForceProbe::masked() const {
+  for (std::size_t i = 0; i < at0.size(); ++i) {
+    if (at0[i] == Tri::kX || at0[i] != at1[i]) return false;
+  }
+  return true;
+}
+
+int ForceProbe::sensitized() const {
+  for (std::size_t i = 0; i < at0.size(); ++i) {
+    if (at0[i] != Tri::kX && at1[i] != Tri::kX && at0[i] != at1[i]) {
+      return static_cast<int>(i);
     }
   }
-  if (too_wide) {
-    std::vector<Tri> tri(fanins.size());
-    for (std::size_t i = 0; i < fanins.size(); ++i) {
-      tri[i] = fanins[i].to_tri();
-    }
-    const Tri out = eval_cell_tri(c, tri, lut_unknown);
-    if (out == Tri::kX) return BitInterval::top();
-    return BitInterval::constant(out == Tri::kOne);
-  }
+  return -1;
+}
 
-  const std::uint64_t mask = c.kind == CellKind::kLut
-                                 ? c.lut_mask
-                                 : gate_truth_mask(c.kind, n);
-  std::uint8_t lo = 1;
-  std::uint8_t hi = 0;
-  for (std::uint32_t combo = 0; combo < (1u << n_free); ++combo) {
-    std::uint32_t row = base_row;
-    for (int j = 0; j < n_free; ++j) {
-      if (combo & (1u << j)) row |= (1u << free_positions[j]);
-    }
-    const std::uint8_t bit = (mask >> row) & 1ull;
-    lo = std::min(lo, bit);
-    hi = std::max(hi, bit);
+ForceProbe force_probe(ForwardDataflow<TernaryDomain>& solver,
+                       std::span<const CellId> obs, CellId cell) {
+  ForceProbe probe;
+  TernaryDomain& domain = solver.domain();
+  domain.force_cell = cell;
+  for (const Tri value : {Tri::kZero, Tri::kOne}) {
+    domain.force_value = value;
+    const std::vector<Tri>& wave = solver.solve();
+    std::vector<Tri>& at = value == Tri::kZero ? probe.at0 : probe.at1;
+    at.reserve(obs.size());
+    for (const CellId p : obs) at.push_back(wave[p]);
   }
-  return {lo, hi};
+  domain.force_cell = kNullCell;
+  domain.force_value = Tri::kX;
+  return probe;
 }
 
 // ---------------------------------------------------------------------------
@@ -131,8 +140,8 @@ void SupportFunction::normalize() {
   }
 }
 
-SupportFunction SupportDomain::source(const Netlist& /*nl*/,
-                                      CellId id) const {
+SupportFunction SupportDomain::source(const Netlist& /*nl*/, CellId id,
+                                      std::size_t /*slot*/) const {
   return SupportFunction::variable(id);
 }
 
@@ -156,10 +165,10 @@ SupportFunction SupportDomain::transfer(
     return SupportFunction::variable(id);
   };
 
-  // An unknown LUT is a fresh variable by definition — the attacker does not
-  // know its function — and conservatively absorbs its fan-in variables
-  // (the secret mask may or may not depend on them).
-  if (c.kind == CellKind::kLut && lut_unknown) return cut_here(true);
+  // A LUT is a fresh variable by definition — the attacker does not know
+  // its function — and conservatively absorbs its fan-in variables (the
+  // secret mask may or may not depend on them).
+  if (c.kind == CellKind::kLut) return cut_here(true);
 
   // Merge the fan-in supports; overflow of the mask width cuts this cell.
   std::vector<CellId> merged;

@@ -1,30 +1,32 @@
-// Generic dataflow framework over the netlist graph.
+// Generic dataflow framework over the netlist graph, and the attacker-view
+// ternary engine built on it.
 //
-// Two worklist solvers (forward along fan-in edges, backward along fanout
-// edges) parameterized by an abstract domain, plus the concrete domains the
-// key-dependency analyzer (verify/keydep) is built from. The domains form a
-// refinement chain
+// Two solvers (forward along fan-in edges, backward along fanout edges)
+// parameterized by an abstract domain. The combinational subgraph is a DAG
+// (DFF outputs are sources, DFF D pins are sinks), so each solve() is one
+// pass in topo order — reverse topo order for the backward solver — that
+// visits every cell exactly once. A solver computes the topo order once, at
+// construction, and may be re-solved after its domain changes (a new force
+// cell, new source values); results are deterministic regardless of
+// fanout-list or hash-map iteration order.
 //
-//   ternary constant  ⊑  bit interval  ⊑  small-support function
-//
-// in the usual abstract-interpretation sense: every fact the coarser domain
-// proves is provable in the finer one (the conformance is pinned by
-// tests/dataflow_test.cpp). All transfer functions model the *attacker view*
-// of a hybrid netlist — a reconfigurable LUT's mask is secret, so its output
-// is unknown (`lut_unknown`, on by default) — and reuse the same per-cell
-// ternary evaluation as the lint audit (sim/ternary's eval_cell_tri).
-//
-// The combinational subgraph is a DAG (DFF outputs are sources, DFF D pins
-// are sinks), so a single pass in topo order converges; the worklist keeps
-// the solvers correct when a client re-solves after refining source values,
-// and evaluation order is fixed by topo rank so results are deterministic
-// regardless of fanout-list or hash-map iteration order.
+// The domains:
+//  * TernaryDomain — the project's one three-valued (0/1/X) propagator. It
+//    models the *attacker view* of a hybrid netlist: a reconfigurable LUT's
+//    mask is secret, so its output is X unless the attacker has resolved
+//    enough of its rows. The `const` defense, the lint audit, keydep and the
+//    sensitization attacks all propagate through it.
+//  * SupportDomain — exact Boolean functions over a small cut vocabulary;
+//    every constant the ternary domain proves, it proves too (pinned by
+//    tests/dataflow_test.cpp).
+//  * ObservabilityDomain — backward structural reachability of an
+//    observation point.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <queue>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -36,14 +38,14 @@ namespace stt {
 // Solvers
 // ---------------------------------------------------------------------------
 
-/// Forward analysis: values flow from sources (primary inputs, constants,
-/// flip-flop outputs) to sinks. Domain concept:
+/// Forward analysis: values flow from sources (primary inputs, flip-flop
+/// outputs) to sinks. Domain concept:
 ///
 ///   struct Domain {
 ///     using Value = ...;                 // default-constructible
-///     Value source(const Netlist&, CellId) const;
+///     // slot: the source's position among PIs, then flip-flops
+///     Value source(const Netlist&, CellId, std::size_t slot) const;
 ///     Value transfer(const Netlist&, CellId, std::span<const Value>) const;
-///     static bool equal(const Value&, const Value&);
 ///   };
 template <class Domain>
 class ForwardDataflow {
@@ -51,49 +53,29 @@ class ForwardDataflow {
   using Value = typename Domain::Value;
 
   ForwardDataflow(const Netlist& nl, Domain domain = {})
-      : nl_(&nl), domain_(std::move(domain)) {}
+      : nl_(&nl), domain_(std::move(domain)) {
+    for (const CellId id : nl.topo_order()) {
+      const CellKind k = nl.cell(id).kind;
+      if (k != CellKind::kInput && k != CellKind::kDff) order_.push_back(id);
+    }
+  }
 
   const std::vector<Value>& solve() {
     const Netlist& nl = *nl_;
-    const std::vector<CellId> order = nl.topo_order();
-    rank_.assign(nl.size(), 0);
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      rank_[order[i]] = static_cast<std::uint32_t>(i);
+    values_.resize(nl.size());
+    std::size_t slot = 0;
+    for (const CellId id : nl.inputs()) {
+      values_[id] = domain_.source(nl, id, slot++);
     }
-    values_.assign(nl.size(), Value{});
-    in_list_.assign(nl.size(), true);
-    std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                        std::greater<>>
-        work;
-    for (const CellId id : order) work.push(keyed(id));
-
-    std::vector<Value> fin;
-    while (!work.empty()) {
-      const CellId id = static_cast<CellId>(work.top() & 0xffffffffull);
-      work.pop();
-      if (!in_list_[id]) continue;  // stale duplicate entry
-      in_list_[id] = false;
-
-      const Cell& c = nl.cell(id);
-      Value next;
-      if (is_source(c.kind)) {
-        next = domain_.source(nl, id);
-      } else {
-        fin.clear();
-        for (const CellId f : c.fanins) fin.push_back(values_[f]);
-        next = domain_.transfer(nl, id, std::span<const Value>(fin));
-      }
-      if (Domain::equal(values_[id], next)) continue;
-      values_[id] = std::move(next);
-      for (const CellId reader : c.fanouts) {
-        // Edges into a DFF D pin are sequential sinks, not forward edges;
-        // the DFF output is re-seeded by source(), never by its driver.
-        if (nl.cell(reader).kind == CellKind::kDff) continue;
-        if (!in_list_[reader]) {
-          in_list_[reader] = true;
-          work.push(keyed(reader));
-        }
-      }
+    for (const CellId id : nl.dffs()) {
+      values_[id] = domain_.source(nl, id, slot++);
+    }
+    // Edges into a DFF D pin are sequential sinks, not forward edges: the
+    // DFF output is seeded by source() above, never by its driver.
+    for (const CellId id : order_) {
+      fin_.clear();
+      for (const CellId f : nl.cell(id).fanins) fin_.push_back(values_[f]);
+      values_[id] = domain_.transfer(nl, id, std::span<const Value>(fin_));
     }
     return values_;
   }
@@ -107,18 +89,11 @@ class ForwardDataflow {
   Domain& domain() { return domain_; }
 
  private:
-  static bool is_source(CellKind k) {
-    return k == CellKind::kInput || k == CellKind::kDff;
-  }
-  std::uint64_t keyed(CellId id) const {
-    return (static_cast<std::uint64_t>(rank_[id]) << 32) | id;
-  }
-
   const Netlist* nl_;
   Domain domain_;
+  std::vector<CellId> order_;  ///< topo order without the sources
   std::vector<Value> values_;
-  std::vector<std::uint32_t> rank_;
-  std::vector<char> in_list_;
+  std::vector<Value> fin_;
 };
 
 /// Backward analysis: values flow from observation points (primary outputs,
@@ -131,42 +106,26 @@ class ForwardDataflow {
 ///     Value transfer(const Netlist&, CellId reader, int slot,
 ///                    const Value& reader_value) const;
 ///     Value join(const Value&, const Value&) const;
-///     static bool equal(const Value&, const Value&);
 ///   };
+///
+/// A flip-flop is a topo source, so its driver may be visited first and see
+/// the default Value for it: transfer across a DFF reader must not depend on
+/// the reader's value (the D pin is an observation point in its own right).
 template <class Domain>
 class BackwardDataflow {
  public:
   using Value = typename Domain::Value;
 
   BackwardDataflow(const Netlist& nl, Domain domain = {})
-      : nl_(&nl), domain_(std::move(domain)) {}
+      : nl_(&nl), domain_(std::move(domain)), order_(nl.topo_order()) {}
 
   const std::vector<Value>& solve() {
     const Netlist& nl = *nl_;
-    const std::vector<CellId> order = nl.topo_order();
-    rank_.assign(nl.size(), 0);
-    // Reverse topo rank: sinks first.
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      rank_[order[i]] = static_cast<std::uint32_t>(order.size() - 1 - i);
-    }
     values_.assign(nl.size(), Value{});
-    in_list_.assign(nl.size(), true);
-    std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                        std::greater<>>
-        work;
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      work.push(keyed(*it));
-    }
-
-    while (!work.empty()) {
-      const CellId id = static_cast<CellId>(work.top() & 0xffffffffull);
-      work.pop();
-      if (!in_list_[id]) continue;
-      in_list_[id] = false;
-
-      const Cell& c = nl.cell(id);
+    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+      const CellId id = *it;
       Value next = domain_.init(nl, id);
-      for (const CellId reader : c.fanouts) {
+      for (const CellId reader : nl.cell(id).fanouts) {
         const Cell& rc = nl.cell(reader);
         for (int slot = 0; slot < rc.fanin_count(); ++slot) {
           if (rc.fanins[static_cast<std::size_t>(slot)] != id) continue;
@@ -174,18 +133,7 @@ class BackwardDataflow {
               next, domain_.transfer(nl, reader, slot, values_[reader]));
         }
       }
-      if (Domain::equal(values_[id], next)) continue;
       values_[id] = std::move(next);
-      for (const CellId f : c.fanins) {
-        // A DFF's driver feeds a sequential sink; the backward edge stops
-        // there (the domain's transfer models the D pin as an observation
-        // point instead).
-        if (c.kind == CellKind::kDff) break;
-        if (!in_list_[f]) {
-          in_list_[f] = true;
-          work.push(keyed(f));
-        }
-      }
     }
     return values_;
   }
@@ -198,88 +146,76 @@ class BackwardDataflow {
   const Domain& domain() const { return domain_; }
 
  private:
-  std::uint64_t keyed(CellId id) const {
-    return (static_cast<std::uint64_t>(rank_[id]) << 32) | id;
-  }
-
   const Netlist* nl_;
   Domain domain_;
+  std::vector<CellId> order_;
   std::vector<Value> values_;
-  std::vector<std::uint32_t> rank_;
-  std::vector<char> in_list_;
 };
 
 // ---------------------------------------------------------------------------
-// Forward domain 1: ternary constants (coarsest layer)
+// Forward domain: attacker-view ternary values
 // ---------------------------------------------------------------------------
 
-/// Attacker-view Kleene constant propagation: PIs and state bits are X,
-/// every LUT output is X (`lut_unknown`), definite values are static
-/// constants no key and no stimulus can change. One optional forced cell
-/// implements the audit's sensitivity probe (is an observation point's value
-/// different when this cell is 0 vs 1?).
+/// Kleene propagation over the attacker view. Sources (PIs, then state
+/// bits) take `sources`, or X when it is empty, so by default a definite
+/// value is a static constant no key and no stimulus can change. A LUT is X
+/// when `luts` is null (no mask known); otherwise a LUT the map tracks is
+/// evaluated from its resolved rows, and one it does not track as
+/// configured. One optional forced cell implements the force probe below.
 struct TernaryDomain {
   using Value = Tri;
 
-  bool lut_unknown = true;
+  const LutKnowledgeMap* luts = nullptr;
+  std::span<const Tri> sources = {};
   CellId force_cell = kNullCell;
   Tri force_value = Tri::kX;
 
-  Value source(const Netlist& nl, CellId id) const;
+  Value source(const Netlist& nl, CellId id, std::size_t slot) const;
   Value transfer(const Netlist& nl, CellId id,
                  std::span<const Value> fanins) const;
-  static bool equal(Value a, Value b) { return a == b; }
 };
 
-// ---------------------------------------------------------------------------
-// Forward domain 2: bit intervals (middle layer)
-// ---------------------------------------------------------------------------
+/// Throws std::runtime_error("<pass>: illegal arity on '<cell>'") or
+/// ("<pass>: unresolved fan-in on '<cell>'") unless the netlist meets the
+/// structural layer's "evaluable" bar; topo_order() itself rejects cycles.
+void require_evaluable(const Netlist& nl, std::string_view pass);
 
-/// [lo, hi] over the value of a net. {0,0} and {1,1} are the constants,
-/// {0,1} is unknown; lo > hi encodes "unreached" (the solver's initial
-/// bottom). Transfer enumerates corner assignments of the non-constant
-/// inputs, so on single-bit logic the domain proves exactly the ternary
-/// facts — the refinement step the conformance test pins.
-struct BitInterval {
-  std::uint8_t lo = 1;
-  std::uint8_t hi = 0;
+/// Observation points in oracle response order: primary outputs, then each
+/// flip-flop's D-pin driver.
+std::vector<CellId> observation_points(const Netlist& nl);
 
-  static BitInterval constant(bool v) {
-    return {static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v)};
-  }
-  static BitInterval top() { return {0, 1}; }
-  bool is_bottom() const { return lo > hi; }
-  bool is_constant() const { return lo == hi; }
-  Tri to_tri() const {
-    if (is_bottom() || lo != hi) return Tri::kX;
-    return lo ? Tri::kOne : Tri::kZero;
-  }
-  friend bool operator==(const BitInterval& a, const BitInterval& b) {
-    return a.lo == b.lo && a.hi == b.hi;
-  }
+/// Truth-table rows of `lut` consistent with its fan-ins' values in `wave`.
+std::uint64_t reachable_rows(const Cell& lut, std::span<const Tri> wave);
+
+/// The observation-point values of one force probe.
+struct ForceProbe {
+  std::vector<Tri> at0;  ///< with the cell forced to 0
+  std::vector<Tri> at1;  ///< with the cell forced to 1
+
+  /// Every observation point keeps the same definite value: a sound proof
+  /// that the cell's value never reaches the interface.
+  bool masked() const;
+  /// First observation point whose two values are definite and differ (the
+  /// cell is sensitized to it whatever the X's are), or -1.
+  int sensitized() const;
 };
 
-struct IntervalDomain {
-  using Value = BitInterval;
-
-  bool lut_unknown = true;
-
-  Value source(const Netlist& nl, CellId id) const;
-  Value transfer(const Netlist& nl, CellId id,
-                 std::span<const Value> fanins) const;
-  static bool equal(const Value& a, const Value& b) { return a == b; }
-};
+/// Solve `solver` with `cell` forced to 0 and then to 1, under the domain's
+/// knowledge and source values, and read both waves at `obs`. The solver's
+/// force fields are cleared again afterwards.
+ForceProbe force_probe(ForwardDataflow<TernaryDomain>& solver,
+                       std::span<const CellId> obs, CellId cell);
 
 // ---------------------------------------------------------------------------
-// Forward domain 3: small-support functions (finest layer)
+// Forward domain: small-support functions
 // ---------------------------------------------------------------------------
 
 /// Exact Boolean function of a net over at most kMaxLutInputs cut variables
 /// (a truth-table mask — a BDD in disguise at this width). Cut variables are
-/// primary inputs, state bits, unknown-LUT outputs, and cells whose support
-/// outgrew the bound. Functions are normalized (vacuous variables dropped,
-/// variables sorted by CellId), so `is_constant` and `depends_on` are exact
-/// over the cut vocabulary.
+/// primary inputs, state bits, LUT outputs (the mask is secret), and cells
+/// whose support outgrew the bound. Functions are normalized (vacuous
+/// variables dropped, variables sorted by CellId), so `is_constant` and
+/// `depends_on` are exact over the cut vocabulary.
 struct SupportFunction {
   std::vector<CellId> vars;  ///< sorted ascending; empty for constants
   std::uint64_t mask = 0;    ///< truth table; row bit i = value of vars[i]
@@ -300,13 +236,11 @@ struct SupportFunction {
 struct SupportDomain {
   using Value = SupportFunction;
 
-  bool lut_unknown = true;
-
   /// Cells re-introduced as fresh cut variables because their support
   /// outgrew kMaxLutInputs, and every variable such a cut absorbed. A
   /// client must not conclude a variable is unobservable while it sits
-  /// inside an absorbed cut (keydep's KEY008 check). Unknown-LUT cuts
-  /// absorb their fan-in variables for the same reason.
+  /// inside an absorbed cut (keydep's KEY008 check). LUT cuts absorb their
+  /// fan-in variables for the same reason.
   struct CutState {
     std::vector<char> cut;       ///< by CellId
     std::vector<char> absorbed;  ///< by CellId
@@ -314,10 +248,9 @@ struct SupportDomain {
   /// Owned by the caller so the domain stays copyable; sized to nl.size().
   CutState* cut_state = nullptr;
 
-  Value source(const Netlist& nl, CellId id) const;
+  Value source(const Netlist& nl, CellId id, std::size_t slot) const;
   Value transfer(const Netlist& nl, CellId id,
                  std::span<const Value> fanins) const;
-  static bool equal(const Value& a, const Value& b) { return a == b; }
 };
 
 // ---------------------------------------------------------------------------
@@ -327,7 +260,7 @@ struct SupportDomain {
 /// Can a change at this net reach any observation point (primary output or
 /// flip-flop D pin) along some path? Purely structural (no sensitization),
 /// so `false` is a sound proof of unobservability, the same bar as the
-/// audit's masked test but O(V+E) for all cells at once.
+/// force probe's masked test but O(V+E) for all cells at once.
 struct ObservabilityDomain {
   using Value = char;  ///< 0 = unobservable, 1 = may reach an obs point
 
@@ -340,7 +273,6 @@ struct ObservabilityDomain {
     return nl.cell(reader).kind == CellKind::kDff ? 1 : reader_value;
   }
   Value join(const Value& a, const Value& b) const { return a | b; }
-  static bool equal(const Value& a, const Value& b) { return a == b; }
 };
 
 }  // namespace stt

@@ -1,7 +1,6 @@
 #include "verify/keydep.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <tuple>
 
 #include "util/strings.hpp"
@@ -10,8 +9,6 @@
 namespace stt {
 
 namespace {
-
-bool definite(Tri t) { return t != Tri::kX; }
 
 std::string json_escape(std::string_view s) {
   std::string out;
@@ -153,20 +150,7 @@ std::string KeydepResult::verdict() const {
 KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
   // Same evaluability bar as the audit: the dataflow passes simulate and
   // topologically order the netlist.
-  for (CellId id = 0; id < nl.size(); ++id) {
-    const Cell& c = nl.cell(id);
-    const FaninRange range = fanin_range(c.kind);
-    if (c.fanin_count() < range.min || c.fanin_count() > range.max) {
-      throw std::runtime_error("keydep: illegal arity on '" +
-                               std::string(c.name) + "'");
-    }
-    for (const CellId f : c.fanins) {
-      if (f == kNullCell || f >= nl.size()) {
-        throw std::runtime_error("keydep: unresolved fan-in on '" +
-                                 std::string(c.name) + "'");
-      }
-    }
-  }
+  require_evaluable(nl, "keydep");
 
   KeydepResult result;
   std::vector<CellId> luts;
@@ -179,6 +163,7 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
   // -- dataflow passes ------------------------------------------------------
   // Forward ternary (attacker view): definite wave values are static
   // constants; they restrict each LUT's reachable truth-table rows.
+  // The same solver, re-solved with one cell forced, is the masked probe.
   ForwardDataflow<TernaryDomain> ternary(nl);
   const std::vector<Tri> wave = ternary.solve();
 
@@ -201,9 +186,8 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
     support = solver.solve();
   }
 
-  const bool have_obs = !nl.outputs().empty() || !nl.dffs().empty();
-  std::vector<CellId> obs_points(nl.outputs().begin(), nl.outputs().end());
-  for (const CellId ff : nl.dffs()) obs_points.push_back(nl.cell(ff).fanins.at(0));
+  const std::vector<CellId> obs_points = observation_points(nl);
+  const bool have_obs = !obs_points.empty();
 
   const std::vector<CellId> order = nl.topo_order();
   std::vector<std::uint32_t> rank(nl.size(), 0);
@@ -223,18 +207,7 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
     rep.fanin = k;
     rep.nominal_bits = static_cast<int>(num_rows(k));
 
-    for (std::uint32_t row = 0; row < num_rows(k); ++row) {
-      bool reachable = true;
-      for (int i = 0; i < k; ++i) {
-        const Tri v = wave[c.fanins[static_cast<std::size_t>(i)]];
-        const bool bit = row & (1u << i);
-        if ((v == Tri::kOne && !bit) || (v == Tri::kZero && bit)) {
-          reachable = false;
-          break;
-        }
-      }
-      if (reachable) rep.reachable_rows |= (1ull << row);
-    }
+    rep.reachable_rows = reachable_rows(c, wave);
     rep.reachable_count = __builtin_popcountll(rep.reachable_rows);
 
     // Masked: the cheap structural proof first, then the audit's ternary
@@ -244,20 +217,7 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
       if (!reaches_obs[id]) {
         rep.masked = true;
       } else {
-        ForwardDataflow<TernaryDomain> probe0(
-            nl, TernaryDomain{.force_cell = id, .force_value = Tri::kZero});
-        ForwardDataflow<TernaryDomain> probe1(
-            nl, TernaryDomain{.force_cell = id, .force_value = Tri::kOne});
-        const std::vector<Tri>& wave0 = probe0.solve();
-        const std::vector<Tri>& wave1 = probe1.solve();
-        bool masked = true;
-        for (const CellId p : obs_points) {
-          if (!definite(wave0[p]) || wave0[p] != wave1[p]) {
-            masked = false;
-            break;
-          }
-        }
-        rep.masked = masked;
+        rep.masked = force_probe(ternary, obs_points, id).masked();
       }
     }
     if (opt.support_analysis && have_obs && !cut_state.absorbed[id]) {

@@ -1,7 +1,7 @@
 // The dataflow framework (verify/dataflow): solver behavior on hand-built
-// netlists plus the domain refinement chain — every fact the ternary layer
-// proves must be provable in the interval and support layers — pinned on
-// real locked benchmarks.
+// netlists, the attacker-view ternary engine's partial LUT knowledge, and
+// the refinement conformance — every fact the ternary domain proves must be
+// provable in the support domain — pinned on real locked benchmarks.
 #include <gtest/gtest.h>
 
 #include "defense/registry.hpp"
@@ -62,6 +62,19 @@ TEST(TernaryDataflow, ForceProbePinsOneCell) {
   one.force_value = Tri::kOne;
   ForwardDataflow<TernaryDomain> solver1(nl, one);
   EXPECT_EQ(solver1.solve()[y], Tri::kX);  // AND(1, X) = X
+
+  // The shared probe reads both forced waves at the observation points.
+  ForwardDataflow<TernaryDomain> probe(nl);
+  const ForceProbe blocked = force_probe(probe, observation_points(nl), a);
+  EXPECT_EQ(blocked.at0, std::vector<Tri>{Tri::kZero});
+  EXPECT_EQ(blocked.at1, std::vector<Tri>{Tri::kX});
+  EXPECT_FALSE(blocked.masked());
+  EXPECT_EQ(blocked.sensitized(), -1);
+  EXPECT_EQ(probe.domain().force_cell, kNullCell);  // cleared again
+  // With b = 1 the output follows a whatever else is unknown.
+  const std::vector<Tri> sources{Tri::kX, Tri::kOne};
+  probe.domain().sources = sources;
+  EXPECT_EQ(force_probe(probe, observation_points(nl), a).sensitized(), 0);
 }
 
 TEST(TernaryDataflow, DffOutputsAreUnknownSources) {
@@ -78,6 +91,43 @@ TEST(TernaryDataflow, DffOutputsAreUnknownSources) {
   // D pin, so the initial-state-unknown semantics hold.
   EXPECT_EQ(v[ff], Tri::kX);
   EXPECT_EQ(v[y], Tri::kX);
+}
+
+TEST(TernaryDataflow, PartialLutKnowledgeResolvesRows) {
+  Netlist nl("partial");
+  const CellId a = nl.add_input("a");
+  const CellId b = nl.add_input("b");
+  const CellId tracked = nl.add_lut("tracked", {a, b}, 0x8);      // AND
+  const CellId untracked = nl.add_lut("untracked", {a, b}, 0x6);  // XOR
+  nl.mark_output(tracked);
+  nl.mark_output(untracked);
+
+  // Row r holds a at bit 0 and b at bit 1. Rows 0, 1 and 2 are resolved
+  // (all 0); row 3 is not.
+  LutKnowledgeMap luts;
+  luts[tracked] = LutKnowledge{.rows = 4, .known_mask = 0b0111};
+  std::vector<Tri> sources{Tri::kZero, Tri::kX};
+  ForwardDataflow<TernaryDomain> solver(
+      nl, TernaryDomain{.luts = &luts, .sources = sources});
+  // a = 0 leaves rows 0 and 2: both resolved, and they agree.
+  EXPECT_EQ(solver.solve()[tracked], Tri::kZero);
+  // a = 1 leaves rows 1 and 3: row 3 is unresolved.
+  sources[0] = Tri::kOne;
+  EXPECT_EQ(solver.solve()[tracked], Tri::kX);
+  // Row 3 resolves to 1: both rows are known but disagree while b is X...
+  luts[tracked].known_mask = 0b1111;
+  luts[tracked].value_mask = 0b1000;
+  EXPECT_EQ(solver.solve()[tracked], Tri::kX);
+  // ...and b = 1 selects row 3.
+  sources[1] = Tri::kOne;
+  EXPECT_EQ(solver.solve()[tracked], Tri::kOne);
+  // A LUT the map does not track evaluates as configured: XOR(1, 1) = 0.
+  EXPECT_EQ(solver.value(untracked), Tri::kZero);
+
+  // Without a map no mask is known, so every LUT is X.
+  ForwardDataflow<TernaryDomain> blind(nl, TernaryDomain{.sources = sources});
+  EXPECT_EQ(blind.solve()[tracked], Tri::kX);
+  EXPECT_EQ(blind.value(untracked), Tri::kX);
 }
 
 // -- backward observability -------------------------------------------------
@@ -105,8 +155,8 @@ TEST(ObservabilityDataflow, DeadConesAreUnobservable) {
 
 TEST(SupportDataflow, RedundantMuxDropsItsSelect) {
   // y = OR(AND(s, a), AND(NOT s, a)) == a: the select is functionally
-  // vacuous. Ternary says X for everything; the support layer proves the
-  // collapse — the strict refinement the domain chain promises.
+  // vacuous. Ternary says X for everything; the support domain proves the
+  // collapse — a strict refinement of the ternary domain.
   Netlist nl("mux");
   const CellId s = nl.add_input("s");
   const CellId a = nl.add_input("a");
@@ -125,7 +175,7 @@ TEST(SupportDataflow, RedundantMuxDropsItsSelect) {
   const std::vector<SupportFunction>& v = solver.solve();
 
   ForwardDataflow<TernaryDomain> ternary(nl);
-  EXPECT_EQ(ternary.solve()[y], Tri::kX);  // the coarse layer cannot see it
+  EXPECT_EQ(ternary.solve()[y], Tri::kX);  // the ternary domain cannot see it
 
   ASSERT_EQ(v[y].vars.size(), 1u);
   EXPECT_EQ(v[y].vars[0], a);
@@ -135,24 +185,6 @@ TEST(SupportDataflow, RedundantMuxDropsItsSelect) {
 }
 
 // -- refinement conformance on locked benchmarks ----------------------------
-
-TEST(DataflowConformance, IntervalRefinesTernaryOnLockedBenches) {
-  for (const char* kind : {"xor", "const", "parametric"}) {
-    const Netlist nl = locked_netlist("s641", kind);
-    ForwardDataflow<TernaryDomain> tern(nl);
-    ForwardDataflow<IntervalDomain> ival(nl);
-    const std::vector<Tri>& t = tern.solve();
-    const std::vector<BitInterval>& v = ival.solve();
-    for (CellId id = 0; id < nl.size(); ++id) {
-      EXPECT_FALSE(v[id].is_bottom()) << kind << " cell " << id;
-      if (t[id] != Tri::kX) {
-        EXPECT_EQ(v[id].to_tri(), t[id])
-            << kind << ": interval lost a ternary fact at cell "
-            << nl.cell(id).name;
-      }
-    }
-  }
-}
 
 TEST(DataflowConformance, SupportRefinesTernaryOnLockedBenches) {
   for (const char* kind : {"xor", "const", "latch"}) {

@@ -5,6 +5,8 @@
 #include "core/security.hpp"
 #include "defense/registry.hpp"
 #include "synth/generator.hpp"
+#include "tech/tech_library.hpp"
+#include "util/strings.hpp"
 #include "verify/lint.hpp"
 
 namespace stt {
@@ -390,6 +392,80 @@ TEST(Lint, JsonReportCarriesRuleIdsAndAuditBlock) {
 
   const std::string arr = lint_json(std::vector<LintReport>{report, report});
   EXPECT_EQ(arr.front(), '[');
+}
+
+// -- golden reports ---------------------------------------------------------
+
+std::uint64_t fnv1a64(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(Lint, GoldenReportsPinned) {
+  // The lint JSON and the `sttlock analyze` JSON of two benchmarks under
+  // every defense, pinned byte for byte: a change to the attacker-view
+  // propagation, the audit or keydep that moves any finding, count or
+  // figure shows up here.
+  struct Golden {
+    const char* bench;
+    const char* defense;
+    std::uint64_t lint;
+    std::uint64_t keydep;
+  };
+  const Golden golden[] = {
+      {"s641", "const", 0x8f3380ee8fd4ee12ull,
+       0xb29c21f33bd6c73dull},
+      {"s641", "dependent", 0x5e78476bbb63aa24ull,
+       0x799b72c1ce5851bfull},
+      {"s641", "independent", 0xe6f375ebe34b010bull,
+       0x5d83756c5ecdf60eull},
+      {"s641", "latch", 0xe69e2dd649a81878ull,
+       0x3b1e7fba04e344d9ull},
+      {"s641", "parametric", 0x08b1a8fd026d5d3full,
+       0x4d6234a98fd2c936ull},
+      {"s641", "xor", 0xe2fb87536f1c5b25ull,
+       0xe9c8b90f69f9d4daull},
+      {"s820", "const", 0x31cb3e78b6974ed3ull,
+       0x16ee7c4bb7d4b85full},
+      {"s820", "dependent", 0x823f5a438fc8a6ffull,
+       0x2b69c4918849f3e7ull},
+      {"s820", "independent", 0x858813c20d59e846ull,
+       0x95a32076c092eecfull},
+      {"s820", "latch", 0xaa524bf5a20af3aaull,
+       0xcf3adec17be4fd74ull},
+      {"s820", "parametric", 0x9d88286b2d0a919dull,
+       0xd891ef44d7a4ed57ull},
+      {"s820", "xor", 0x1abb1614069eb703ull,
+       0x9ea9676e14a9b5abull},
+  };
+  EXPECT_EQ(defense::registry().names().size() * 2, std::size(golden));
+  const TechLibrary lib = TechLibrary::cmos90_stt();
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(std::string(g.bench) + "/" + g.defense);
+    const auto profile = find_profile(g.bench);
+    ASSERT_TRUE(profile.has_value());
+    defense::DefenseOptions dopt;
+    dopt.seed = 7;
+    const defense::DefenseResult r = defense::registry().apply(
+        g.defense, generate_circuit(*profile, 7), lib, dopt, {});
+
+    LintOptions lopt;
+    lopt.defense = r.annotations;
+    const std::uint64_t lint = fnv1a64(lint_json(run_lint(r.locked, lopt)));
+    KeydepOptions kopt;
+    kopt.defense = r.annotations;
+    const std::uint64_t keydep =
+        fnv1a64(keydep_json(r.locked, analyze_keydep(r.locked, kopt)));
+    EXPECT_EQ(lint, g.lint) << strformat("lint 0x%016llx",
+                                         static_cast<unsigned long long>(lint));
+    EXPECT_EQ(keydep, g.keydep)
+        << strformat("keydep 0x%016llx",
+                     static_cast<unsigned long long>(keydep));
+  }
 }
 
 // -- defense annotations (HYB004-006 + by-design suppression) ----------------

@@ -6,6 +6,7 @@
 #include "sim/ternary.hpp"
 #include "synth/generator.hpp"
 #include "util/rng.hpp"
+#include "verify/dataflow.hpp"
 
 namespace stt {
 namespace {
@@ -154,22 +155,65 @@ TEST(Ternary, KleeneAnd) {
   const Tri x = Tri::kX;
   const Tri zero = Tri::kZero;
   const Tri one = Tri::kOne;
-  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{zero, x}, false), Tri::kZero);
-  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{one, x}, false), Tri::kX);
-  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{one, one}, false), Tri::kOne);
+  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{zero, x}), Tri::kZero);
+  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{one, x}), Tri::kX);
+  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{one, one}), Tri::kOne);
 }
 
 TEST(Ternary, KleeneOrNorXor) {
   Cell c;
   c.kind = CellKind::kOr;
-  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{Tri::kOne, Tri::kX}, false),
+  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{Tri::kOne, Tri::kX}),
             Tri::kOne);
   c.kind = CellKind::kNor;
-  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{Tri::kOne, Tri::kX}, false),
+  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{Tri::kOne, Tri::kX}),
             Tri::kZero);
   c.kind = CellKind::kXor;
-  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{Tri::kOne, Tri::kX}, false),
+  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{Tri::kOne, Tri::kX}),
             Tri::kX);
+}
+
+// Property: Kleene evaluation is exact — X exactly when the completions of
+// the unknown inputs disagree — for every gate kind and a LUT, at every
+// fan-in a truth mask covers.
+TEST(Ternary, AgreesWithEveryCompletion) {
+  Rng rng(11);
+  for (const CellKind kind :
+       {CellKind::kBuf, CellKind::kNot, CellKind::kAnd, CellKind::kNand,
+        CellKind::kOr, CellKind::kNor, CellKind::kXor, CellKind::kXnor,
+        CellKind::kLut}) {
+    const FaninRange range = fanin_range(kind);
+    for (int n = range.min; n <= std::min(range.max, kMaxLutInputs); ++n) {
+      Cell c;
+      c.kind = kind;
+      c.lut_mask = rng() & full_mask(n);
+      const std::uint64_t mask =
+          kind == CellKind::kLut ? c.lut_mask : gate_truth_mask(kind, n);
+      int cases = 1;
+      for (int i = 0; i < n; ++i) cases *= 3;
+      for (int code = 0; code < cases; ++code) {
+        std::vector<Tri> in;
+        for (int i = 0, rest = code; i < n; ++i, rest /= 3) {
+          in.push_back(static_cast<Tri>(rest % 3));
+        }
+        bool saw0 = false;
+        bool saw1 = false;
+        for (std::uint32_t row = 0; row < num_rows(n); ++row) {
+          bool consistent = true;
+          for (int i = 0; i < n; ++i) {
+            if (in[i] != Tri::kX && (in[i] == Tri::kOne) != ((row >> i) & 1u)) {
+              consistent = false;
+            }
+          }
+          if (consistent) ((mask >> row) & 1ull) ? saw1 = true : saw0 = true;
+        }
+        const Tri expect =
+            saw0 && saw1 ? Tri::kX : (saw1 ? Tri::kOne : Tri::kZero);
+        EXPECT_EQ(eval_cell_tri(c, in), expect)
+            << kind_name(kind) << " fanin " << n << " case " << code;
+      }
+    }
+  }
 }
 
 TEST(Ternary, LutUnknownForcesX) {
@@ -177,34 +221,48 @@ TEST(Ternary, LutUnknownForcesX) {
   c.kind = CellKind::kLut;
   c.lut_mask = 0b1000;  // AND2
   const std::vector<Tri> in{Tri::kOne, Tri::kOne};
-  EXPECT_EQ(eval_cell_tri(c, in, false), Tri::kOne);
-  EXPECT_EQ(eval_cell_tri(c, in, true), Tri::kX);
+  EXPECT_EQ(eval_cell_tri(c, in), Tri::kOne);  // as configured
+  // The attacker view: with no row resolved the output is X.
+  EXPECT_EQ(eval_partial_lut(LutKnowledge{.rows = 4}, in), Tri::kX);
 }
 
 TEST(Ternary, ConstantLutStaysDefiniteUnderX) {
   Cell c;
   c.kind = CellKind::kLut;
   c.lut_mask = full_mask(2);  // constant 1
-  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{Tri::kX, Tri::kX}, false),
+  EXPECT_EQ(eval_cell_tri(c, std::vector<Tri>{Tri::kX, Tri::kX}),
             Tri::kOne);
+}
+
+// The attacker-view engine with definite sources is plain configured
+// evaluation: an empty knowledge map tracks no LUT, so every LUT evaluates
+// as configured.
+std::vector<Tri> ternary_outputs(const Netlist& nl,
+                                 std::span<const Tri> sources) {
+  const LutKnowledgeMap configured;
+  ForwardDataflow<TernaryDomain> engine(
+      nl, TernaryDomain{.luts = &configured, .sources = sources});
+  const std::vector<Tri>& wave = engine.solve();
+  std::vector<Tri> out;
+  for (const CellId po : nl.outputs()) out.push_back(wave[po]);
+  return out;
 }
 
 TEST(TernarySimulator, MatchesBinaryOnDefiniteInputs) {
   CircuitProfile profile{"tern", 5, 4, 3, 40, 5};
   const Netlist nl = generate_circuit(profile, 9);
   const Simulator bin(nl);
-  const TernarySimulator tern(nl);
   Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<bool> pi(nl.inputs().size());
     std::vector<bool> ff(nl.dffs().size());
     for (auto&& b : pi) b = rng.chance(0.5);
     for (auto&& b : ff) b = rng.chance(0.5);
-    std::vector<Tri> tpi(pi.size()), tff(ff.size());
-    for (std::size_t i = 0; i < pi.size(); ++i) tpi[i] = tri_from_bool(pi[i]);
-    for (std::size_t j = 0; j < ff.size(); ++j) tff[j] = tri_from_bool(ff[j]);
+    std::vector<Tri> sources;
+    for (const bool b : pi) sources.push_back(tri_from_bool(b));
+    for (const bool b : ff) sources.push_back(tri_from_bool(b));
     const auto expect = bin.eval_single(pi, ff);
-    const auto got = tern.outputs_of(tern.eval_comb(tpi, tff));
+    const auto got = ternary_outputs(nl, sources);
     for (std::size_t o = 0; o < expect.size(); ++o) {
       EXPECT_EQ(got[o], tri_from_bool(expect[o]));
     }
@@ -213,10 +271,10 @@ TEST(TernarySimulator, MatchesBinaryOnDefiniteInputs) {
 
 TEST(TernarySimulator, XStateStaysConservative) {
   const Netlist nl = embedded_netlist("s27");
-  const TernarySimulator sim(nl);
-  const std::vector<Tri> pis(4, Tri::kZero);
-  const std::vector<Tri> xstate(3, Tri::kX);
-  const auto wave = sim.eval_comb(pis, xstate);
+  // Definite PIs, unknown state.
+  const std::vector<Tri> sources{Tri::kZero, Tri::kZero, Tri::kZero,
+                                 Tri::kZero, Tri::kX,    Tri::kX,
+                                 Tri::kX};
   // G17 = NOT(G11) where G11 = NOR(G5, G9): with unknown state the output
   // may or may not be X, but it must never contradict a definite evaluation
   // of any concrete state. Check against both all-0 and all-1 states.
@@ -225,7 +283,7 @@ TEST(TernarySimulator, XStateStaysConservative) {
                                   {false, false, false});
   const auto o1 = bin.eval_single({false, false, false, false},
                                   {true, true, true});
-  const Tri got = sim.outputs_of(wave)[0];
+  const Tri got = ternary_outputs(nl, sources)[0];
   if (got != Tri::kX) {
     EXPECT_EQ(got, tri_from_bool(o0[0]));
     EXPECT_EQ(got, tri_from_bool(o1[0]));

@@ -288,8 +288,8 @@ int cmd_attack(const std::vector<std::string>& args) {
   p.add_flag("--list", "print the registered attacks and their knobs");
   p.add_option("--view", "attacker's netlist (LUT contents ignored)");
   p.add_option("--oracle", "configured netlist standing in for the chip");
-  p.add_option("--kind", "attack to run: sat|seq|sens|gsens|bf|ml|dpa|static", "");
-  p.add_option("--method", "deprecated alias for --kind", "");
+  p.add_option("--kind", "attack to run: sat|seq|sens|gsens|bf|ml|dpa|static",
+               "sat");
   p.add_option("--seed", "attack seed (empty = the attack's default)", "");
   p.add_option("--time-limit", "wall-clock cap in seconds (empty = default)",
                "");
@@ -312,9 +312,7 @@ int cmd_attack(const std::vector<std::string>& args) {
 
   const Netlist view = foundry_view(load_netlist(p.get("--view")));
   const Netlist chip = load_netlist(p.get("--oracle"));
-  std::string kind = p.get("--kind");
-  if (kind.empty()) kind = p.get("--method");
-  if (kind.empty()) kind = "sat";
+  const std::string kind = p.get("--kind");
   if (!attack::registry().contains(kind)) {
     std::fprintf(stderr, "unknown attack '%s'; known:", kind.c_str());
     for (const std::string& name : attack::registry().names()) {
