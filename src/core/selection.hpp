@@ -80,6 +80,8 @@ struct SelectionResult {
 class GateSelector {
  public:
   explicit GateSelector(const TechLibrary& lib) : lib_(&lib) {}
+  /// The selector keeps a pointer to the library: a temporary would dangle.
+  GateSelector(const TechLibrary&&) = delete;
 
   /// Run one algorithm, mutating `nl` into the hybrid netlist (LUTs
   /// configured to preserve functionality). The netlist must be a pure-CMOS

@@ -149,95 +149,53 @@ std::vector<int> tarjan_scc_csr(std::span<const std::uint32_t> offsets,
   return comp;
 }
 
-namespace {
-
-// Sequential sources (DFF outputs / any PI) combinationally reaching `start`
-// walking backward. Returns DFF ids; sets `from_pi` if a PI is reached.
-std::vector<CellId> comb_seq_sources(const Netlist& nl, CellId start,
-                                     bool& from_pi, std::vector<int>& mark,
-                                     int stamp) {
-  std::vector<CellId> result;
-  from_pi = false;
-  std::vector<CellId> work{start};
-  while (!work.empty()) {
-    const CellId u = work.back();
-    work.pop_back();
-    if (mark[u] == stamp) continue;
-    mark[u] = stamp;
-    const Cell& c = nl.cell(u);
-    if (c.kind == CellKind::kDff) {
-      result.push_back(u);
-      continue;  // do not cross the flip-flop
-    }
-    if (c.kind == CellKind::kInput) {
-      from_pi = true;
-      continue;
-    }
-    for (const CellId f : c.fanins) work.push_back(f);
-  }
-  return result;
-}
-
-}  // namespace
-
 int circuit_seq_depth(const Netlist& nl) {
-  const auto dffs = nl.dffs();
-  const auto n_ff = dffs.size();
-  // FF-graph nodes: [0, n_ff) = flip-flops, n_ff = SRC (PIs), n_ff+1 = SNK.
-  const std::uint32_t kSrc = static_cast<std::uint32_t>(n_ff);
-  const std::uint32_t kSnk = kSrc + 1;
-  std::vector<std::vector<std::uint32_t>> adj(n_ff + 2);
-
-  std::vector<std::uint32_t> ff_index(nl.size(), 0);
-  for (std::uint32_t i = 0; i < n_ff; ++i) ff_index[dffs[i]] = i;
-
-  std::vector<int> mark(nl.size(), -1);
-  int stamp = 0;
-  for (std::uint32_t i = 0; i < n_ff; ++i) {
-    bool from_pi = false;
-    const CellId d_pin = nl.cell(dffs[i]).fanins.empty()
-                             ? kNullCell
-                             : nl.cell(dffs[i]).fanins[0];
-    if (d_pin == kNullCell) continue;
-    for (const CellId src : comb_seq_sources(nl, d_pin, from_pi, mark, stamp++)) {
-      adj[ff_index[src]].push_back(i);
-    }
-    if (from_pi) adj[kSrc].push_back(i);
+  // SCCs of the whole driver->reader cell graph, flip-flops included. The
+  // combinational subgraph is acyclic, so two flip-flops share a component
+  // exactly when they share a flip-flop-graph SCC, and every PI -> PO cell
+  // path crosses the same flip-flop SCCs, in the same order, as the
+  // corresponding flip-flop-graph path.
+  const std::size_t n = nl.size();
+  std::vector<std::uint32_t> offsets(n + 1, 0);
+  std::vector<std::uint32_t> targets;
+  for (CellId u = 0; u < n; ++u) {
+    for (const CellId v : nl.cell(u).fanouts) targets.push_back(v);
+    offsets[u + 1] = static_cast<std::uint32_t>(targets.size());
   }
-  for (const CellId po : nl.outputs()) {
-    bool from_pi = false;
-    for (const CellId src : comb_seq_sources(nl, po, from_pi, mark, stamp++)) {
-      adj[ff_index[src]].push_back(kSnk);
-    }
-    if (from_pi) adj[kSrc].push_back(kSnk);
-  }
-
   int num_comp = 0;
-  const std::vector<int> comp = tarjan_scc(adj, num_comp);
+  const std::vector<int> comp = tarjan_scc_csr(offsets, targets, num_comp);
 
-  // Component weights: number of flip-flops (SRC/SNK weigh 0).
+  // Component weights: number of flip-flops. Members grouped by component
+  // (counting sort) so the condensation is walked without building it.
   std::vector<int> weight(num_comp, 0);
-  for (std::uint32_t i = 0; i < n_ff; ++i) ++weight[comp[i]];
-
-  // Condensation edges; components numbered in reverse topological order, so
-  // an edge goes from a higher comp index to a lower (or equal, intra-SCC).
-  std::vector<std::vector<int>> cadj(num_comp);
-  for (std::uint32_t u = 0; u < adj.size(); ++u) {
-    for (const std::uint32_t v : adj[u]) {
-      if (comp[u] != comp[v]) cadj[comp[u]].push_back(comp[v]);
-    }
+  for (const CellId d : nl.dffs()) ++weight[comp[d]];
+  std::vector<std::uint32_t> first(num_comp + 1, 0);
+  for (CellId u = 0; u < n; ++u) ++first[comp[u] + 1];
+  for (int c = 0; c < num_comp; ++c) first[c + 1] += first[c];
+  std::vector<CellId> members(n);
+  {
+    std::vector<std::uint32_t> cursor(first.begin(), first.end() - 1);
+    for (CellId u = 0; u < n; ++u) members[cursor[comp[u]]++] = u;
   }
 
-  // best[c] = heaviest FF chain starting in c and ending at SNK's component.
-  const int snk_comp = comp[kSnk];
+  // best[c] = heaviest flip-flop chain from component c to a component that
+  // holds a PO, -1 when none is reachable. Components are numbered in
+  // reverse topological order, so successors (lower index) come first.
   std::vector<long long> best(num_comp, -1);
-  best[snk_comp] = weight[snk_comp];
-  for (int c = 0; c < num_comp; ++c) {  // children (lower index) first
+  for (const CellId po : nl.outputs()) best[comp[po]] = weight[comp[po]];
+  for (int c = 0; c < num_comp; ++c) {
     long long reach = -1;
-    for (const int child : cadj[c]) reach = std::max(reach, best[child]);
+    for (std::uint32_t m = first[c]; m < first[c + 1]; ++m) {
+      const CellId u = members[m];
+      for (std::uint32_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+        const int succ = comp[targets[e]];
+        if (succ != c) reach = std::max(reach, best[succ]);
+      }
+    }
     if (reach >= 0) best[c] = std::max(best[c], weight[c] + reach);
   }
-  const long long d = best[comp[kSrc]];
+  long long d = -1;
+  for (const CellId pi : nl.inputs()) d = std::max(d, best[comp[pi]]);
   return d <= 0 ? 1 : static_cast<int>(d);
 }
 

@@ -7,10 +7,11 @@
 //    cell and any primary output (the D_i of Eqs. 1-2);
 //  * the circuit sequential depth D — the maximum number of flip-flops on
 //    any PI -> PO path (Eq. 3). Sequential loops make the naive definition
-//    unbounded, so D is computed on the SCC condensation of the flip-flop
-//    dependency graph: each strongly connected component contributes its
-//    flip-flop count once, which is the natural acyclic reading of the
-//    paper's definition;
+//    unbounded, so D is computed on the SCC condensation of the cell graph:
+//    each strongly connected component contributes its flip-flop count
+//    once, which is the natural acyclic reading of the paper's definition
+//    (the combinational logic is acyclic, so these components are exactly
+//    the flip-flop dependency graph's SCCs);
 //  * transitive fan-in/fan-out cones (attack cone extraction).
 #pragma once
 

@@ -32,8 +32,10 @@ struct ScoapResult {
 struct ScoapOptions {
   /// Cost added when crossing a flip-flop (one extra capture cycle).
   double sequential_increment = 5.0;
-  /// Fixed-point iterations for sequential loops (values monotonically
-  /// decrease and converge quickly on ISCAS-scale circuits).
+  /// Gauss-Seidel sweeps for sequential loops: values only decrease, and
+  /// the sweeps stop early once one lowers nothing. The truncation is part
+  /// of the definition — large ISCAS'89 circuits (s5378a, s13207, s38584)
+  /// are still lowering values at sweep 16.
   int max_iterations = 16;
   /// Controllability assigned to unknown-content LUTs' outputs when
   /// `attacker_view` is set: the attacker cannot justify through a missing

@@ -175,7 +175,7 @@ StaticAuditResult run_static_audit(const Netlist& nl,
   // replaces declared fan-in in alpha/P lookups, and the accessible-input
   // walk does not descend through statically constant cells.
   SecurityReport& audited = result.audited;
-  audited.circuit_depth = circuit_seq_depth(nl);
+  audited.circuit_depth = result.optimistic.circuit_depth;  // same netlist
 
   std::vector<CellId> included;
   for (const CellId id : luts) {

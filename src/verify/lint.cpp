@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <tuple>
 
+#include "obs/obs.hpp"
 #include "util/strings.hpp"
 
 namespace stt {
@@ -60,8 +61,10 @@ LintReport run_lint(const Netlist& nl, const LintOptions& opt) {
 
   StructuralLintOptions structural_opt = opt.structural;
   structural_opt.defense.merge(opt.defense);
-  const StructuralLintResult structural =
-      run_structural_lint(nl, structural_opt);
+  const StructuralLintResult structural = [&] {
+    STTLOCK_SPAN("verify", "lint_structural");
+    return run_structural_lint(nl, structural_opt);
+  }();
   report.findings = structural.findings;
   sort_findings(report.findings, 0);
 
@@ -73,6 +76,7 @@ LintReport run_lint(const Netlist& nl, const LintOptions& opt) {
           "unevaluable"));
     } else {
       if (opt.run_audit) {
+        STTLOCK_SPAN("verify", "lint_audit");
         StaticAuditOptions audit_opt = opt.audit;
         audit_opt.defense.merge(opt.defense);
         report.audit = run_static_audit(nl, audit_opt);
@@ -84,6 +88,7 @@ LintReport run_lint(const Netlist& nl, const LintOptions& opt) {
         sort_findings(report.findings, from);
       }
       if (opt.run_keydep && nl.stats().luts > 0) {
+        STTLOCK_SPAN("verify", "lint_keydep");
         KeydepOptions keydep_opt = opt.keydep;
         keydep_opt.defense.merge(opt.defense);
         report.keydep = analyze_keydep(nl, keydep_opt);

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
+#include "defense/registry.hpp"
 #include "graph/analysis.hpp"
 #include "graph/paths.hpp"
 #include "io/bench_io.hpp"
 #include "synth/generator.hpp"
+#include "tech/tech_library.hpp"
 
 namespace stt {
 namespace {
@@ -227,6 +230,188 @@ TEST(PathPool, ExcludeFilterApplies) {
   const auto none = build_path_pool(nl, rng, opt,
                                     [](const IoPath&) { return true; });
   EXPECT_TRUE(none.empty());
+}
+
+
+// -- equivalence with the flip-flop dependency graph --------------------------
+
+// Circuit depth D on the flip-flop graph: one node per flip-flop plus SRC
+// (the PIs) and SNK (the POs), an edge wherever one sequential source
+// combinationally reaches the next sink, found by one backward walk per
+// flip-flop and per PO. It pins circuit_seq_depth's cell-graph
+// condensation.
+namespace reference {
+
+// Sequential sources (DFF outputs / any PI) combinationally reaching `start`
+// walking backward. Returns DFF ids; sets `from_pi` if a PI is reached.
+std::vector<CellId> comb_seq_sources(const Netlist& nl, CellId start,
+                                     bool& from_pi, std::vector<int>& mark,
+                                     int stamp) {
+  std::vector<CellId> result;
+  from_pi = false;
+  std::vector<CellId> work{start};
+  while (!work.empty()) {
+    const CellId u = work.back();
+    work.pop_back();
+    if (mark[u] == stamp) continue;
+    mark[u] = stamp;
+    const Cell& c = nl.cell(u);
+    if (c.kind == CellKind::kDff) {
+      result.push_back(u);
+      continue;  // do not cross the flip-flop
+    }
+    if (c.kind == CellKind::kInput) {
+      from_pi = true;
+      continue;
+    }
+    for (const CellId f : c.fanins) work.push_back(f);
+  }
+  return result;
+}
+
+int circuit_seq_depth(const Netlist& nl) {
+  const auto dffs = nl.dffs();
+  const auto n_ff = dffs.size();
+  // FF-graph nodes: [0, n_ff) = flip-flops, n_ff = SRC (PIs), n_ff+1 = SNK.
+  const std::uint32_t kSrc = static_cast<std::uint32_t>(n_ff);
+  const std::uint32_t kSnk = kSrc + 1;
+  std::vector<std::vector<std::uint32_t>> adj(n_ff + 2);
+
+  std::vector<std::uint32_t> ff_index(nl.size(), 0);
+  for (std::uint32_t i = 0; i < n_ff; ++i) ff_index[dffs[i]] = i;
+
+  std::vector<int> mark(nl.size(), -1);
+  int stamp = 0;
+  for (std::uint32_t i = 0; i < n_ff; ++i) {
+    bool from_pi = false;
+    const CellId d_pin = nl.cell(dffs[i]).fanins.empty()
+                             ? kNullCell
+                             : nl.cell(dffs[i]).fanins[0];
+    if (d_pin == kNullCell) continue;
+    for (const CellId src : comb_seq_sources(nl, d_pin, from_pi, mark, stamp++)) {
+      adj[ff_index[src]].push_back(i);
+    }
+    if (from_pi) adj[kSrc].push_back(i);
+  }
+  for (const CellId po : nl.outputs()) {
+    bool from_pi = false;
+    for (const CellId src : comb_seq_sources(nl, po, from_pi, mark, stamp++)) {
+      adj[ff_index[src]].push_back(kSnk);
+    }
+    if (from_pi) adj[kSrc].push_back(kSnk);
+  }
+
+  int num_comp = 0;
+  const std::vector<int> comp = tarjan_scc(adj, num_comp);
+
+  // Component weights: number of flip-flops (SRC/SNK weigh 0).
+  std::vector<int> weight(num_comp, 0);
+  for (std::uint32_t i = 0; i < n_ff; ++i) ++weight[comp[i]];
+
+  // Condensation edges; components numbered in reverse topological order, so
+  // an edge goes from a higher comp index to a lower (or equal, intra-SCC).
+  std::vector<std::vector<int>> cadj(num_comp);
+  for (std::uint32_t u = 0; u < adj.size(); ++u) {
+    for (const std::uint32_t v : adj[u]) {
+      if (comp[u] != comp[v]) cadj[comp[u]].push_back(comp[v]);
+    }
+  }
+
+  // best[c] = heaviest FF chain starting in c and ending at SNK's component.
+  const int snk_comp = comp[kSnk];
+  std::vector<long long> best(num_comp, -1);
+  best[snk_comp] = weight[snk_comp];
+  for (int c = 0; c < num_comp; ++c) {  // children (lower index) first
+    long long reach = -1;
+    for (const int child : cadj[c]) reach = std::max(reach, best[child]);
+    if (reach >= 0) best[c] = std::max(best[c], weight[c] + reach);
+  }
+  const long long d = best[comp[kSrc]];
+  return d <= 0 ? 1 : static_cast<int>(d);
+}
+
+}  // namespace reference
+
+void expect_depth(const Netlist& nl, int want) {
+  EXPECT_EQ(reference::circuit_seq_depth(nl), want);
+  EXPECT_EQ(circuit_seq_depth(nl), want);
+}
+
+TEST(CircuitSeqDepth, MatchesFlipFlopGraphReference) {
+  const TechLibrary lib = TechLibrary::cmos90_stt();
+  defense::DefenseOptions dopt;
+  dopt.seed = 7;
+  for (const CircuitProfile& profile : iscas89_profiles()) {
+    const Netlist original = generate_circuit(profile, 7);
+    for (const std::string kind : {"", "dependent", "xor", "const"}) {
+      SCOPED_TRACE(profile.name + "/" + kind);
+      const Netlist nl =
+          kind.empty()
+              ? original
+              : defense::registry().apply(kind, original, lib, dopt).locked;
+      EXPECT_EQ(circuit_seq_depth(nl), reference::circuit_seq_depth(nl));
+    }
+  }
+
+  {
+    SCOPED_TRACE("PO driven from inside a flip-flop loop");
+    Netlist nl("po_in_loop");
+    const CellId x = nl.add_input("x");
+    const CellId f1 = nl.add_dff("f1");
+    const CellId f2 = nl.add_dff("f2", f1);
+    const CellId g = nl.add_gate(CellKind::kAnd, "g", {x, f2});
+    nl.connect(f1, {g});
+    nl.mark_output(g);
+    nl.finalize();
+    expect_depth(nl, 2);
+  }
+  {
+    SCOPED_TRACE("DFF driving a PO directly");
+    Netlist nl("dff_po");
+    const CellId x = nl.add_input("x");
+    nl.mark_output(nl.add_dff("f", x));
+    nl.finalize();
+    expect_depth(nl, 1);
+  }
+  {
+    SCOPED_TRACE("PI wired straight to a PO");
+    Netlist nl("pi_po");
+    const CellId x = nl.add_input("x");
+    const CellId f1 = nl.add_dff("f1", x);
+    const CellId f2 = nl.add_dff("f2", f1);
+    nl.mark_output(x);
+    nl.mark_output(nl.add_gate(CellKind::kNot, "g", {f2}));
+    nl.finalize();
+    expect_depth(nl, 2);
+  }
+  {
+    SCOPED_TRACE("flip-flops no PI reaches");
+    Netlist nl("unreached");
+    const CellId x = nl.add_input("x");
+    const CellId one = nl.add_const(true, "one");
+    const CellId f = nl.add_dff("f", one);
+    const CellId f3 = nl.add_dff("f3");
+    const CellId f4 = nl.add_dff("f4", f3);
+    nl.connect(f3, {nl.add_gate(CellKind::kNot, "n", {f4})});
+    nl.mark_output(nl.add_gate(CellKind::kAnd, "g", {f, x}));
+    nl.mark_output(nl.add_gate(CellKind::kOr, "h", {f4, x}));
+    nl.finalize();
+    expect_depth(nl, 1);
+  }
+  {
+    SCOPED_TRACE("flip-flop chain feeding a loop");
+    Netlist nl("chain_loop");
+    const CellId x = nl.add_input("x");
+    const CellId fa = nl.add_dff("fa", x);
+    const CellId fb = nl.add_dff("fb", fa);
+    const CellId fd = nl.add_dff("fd");
+    const CellId g = nl.add_gate(CellKind::kXor, "g", {fb, fd});
+    const CellId fc = nl.add_dff("fc", g);
+    nl.connect(fd, {fc});
+    nl.mark_output(fd);
+    nl.finalize();
+    expect_depth(nl, 4);
+  }
 }
 
 }  // namespace

@@ -82,7 +82,8 @@ TEST(SeqSatAttack, RecoversShallowLockWithFewFrames) {
 TEST(SeqSatAttack, RecoversIndependentLockOnS27) {
   const Netlist original = embedded_netlist("s27");
   Netlist hybrid = original;
-  GateSelector selector(TechLibrary::cmos90_stt());
+  const TechLibrary lib = TechLibrary::cmos90_stt();
+  GateSelector selector(lib);
   SelectionOptions sopt;
   sopt.seed = 3;
   sopt.indep_count = 3;
@@ -141,7 +142,8 @@ TEST(SeqSatAttack, BudgetsHonoured) {
   const CircuitProfile profile{"seqcap", 8, 6, 6, 120, 8};
   const Netlist original = generate_circuit(profile, 9);
   Netlist hybrid = original;
-  GateSelector selector(TechLibrary::cmos90_stt());
+  const TechLibrary lib = TechLibrary::cmos90_stt();
+  GateSelector selector(lib);
   SelectionOptions sopt;
   sopt.seed = 9;
   (void)selector.run(hybrid, SelectionAlgorithm::kDependent, sopt);
