@@ -3,8 +3,8 @@
 // the solver portfolio against the seed's naive re-encoding loop.
 //
 // Four modes run the *same* attack (same locked circuit, same oracle):
-//  * naive      — legacy engine: two full symbolic copies re-encoded per
-//                 DIP (the PR 3 baseline, cone_pruning=false);
+//  * naive      — the seed's engine: two full symbolic copies re-encoded
+//                 per DIP (`run_naive` below; this bench is its only home);
 //  * pruned     — cone-pruned constant-folded DIP encoding, no warm-up;
 //  * pruned_sim — cone pruning plus the word-parallel simulation warm-up;
 //  * portfolio  — pruned_sim with a 3-member solver portfolio racing the
@@ -18,16 +18,21 @@
 // queries, and key (the engine's determinism contract). JSON goes to
 // BENCH_sat_perf.json (override with --out) so CI can archive the
 // trajectory. Each mode row carries props_per_s, the canonical solver's
-// propagations per second of attack wall-clock. The in-binary gate requires pruned_sim to beat naive by
-// --min-speedup (default 5x, the acceptance bar, on the full-size default
-// benchmark; 2x on the seconds-scale --smoke configuration).
+// propagations per second of attack wall-clock. Two in-binary gates: pruned
+// and pruned_sim must each add fewer CNF clauses per DIP than naive, and
+// pruned_sim must beat naive on wall-clock by --min-speedup (default 5x,
+// the acceptance bar, on the full-size default benchmark; 2x on the
+// seconds-scale --smoke configuration).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "attack/encode.hpp"
 #include "attack/oracle.hpp"
+#include "attack/sat.hpp"
 #include "attack/sat_attack.hpp"
 #include "core/hybrid.hpp"
 #include "core/selection.hpp"
@@ -72,6 +77,121 @@ std::uint64_t functional_checksum(const Netlist& chip, std::size_t words) {
   std::vector<std::uint64_t> out(n_out * words);
   oracle.query_batch(words, in, out, nullptr);
   return fold(0, out);
+}
+
+// Pin an encoded copy's inputs to a concrete pattern and its outputs to the
+// oracle's response.
+void constrain_io(sat::Solver& solver, const EncodedCircuit& enc,
+                  const std::vector<bool>& in, const std::vector<bool>& out) {
+  for (std::size_t i = 0; i < enc.input_vars.size(); ++i) {
+    solver.add_unit(in[i] ? sat::pos(enc.input_vars[i])
+                          : sat::neg(enc.input_vars[i]));
+  }
+  for (std::size_t i = 0; i < enc.output_vars.size(); ++i) {
+    solver.add_unit(out[i] ? sat::pos(enc.output_vars[i])
+                           : sat::neg(enc.output_vars[i]));
+  }
+}
+
+// The seed's SAT-attack engine, the reference the pruned modes are gated
+// against: two full symbolic copies, one solver, and two more full copies
+// re-encoded per DIP with the observed I/O pinned. The wall-clock limit is
+// threaded into the solver as a deadline; warm-up and portfolio options
+// are ignored.
+SatAttackResult run_naive(const Netlist& hybrid, ScanOracle& oracle,
+                          const SatAttackOptions& opt) {
+  SatAttackResult result;
+  const Timer timer;
+  const std::uint64_t queries_before = oracle.queries();
+
+  sat::Solver solver;
+  EncodeOptions symbolic;
+  symbolic.symbolic_keys = true;
+  const EncodedCircuit copy_a = encode_comb(solver, hybrid, symbolic);
+  EncodeOptions opt_b = symbolic;
+  opt_b.share_inputs = &copy_a.input_vars;
+  const EncodedCircuit copy_b = encode_comb(solver, hybrid, opt_b);
+  const sat::Var miter = add_miter(solver, copy_a, copy_b);
+
+  if (copy_a.key_vars.empty()) {
+    throw std::invalid_argument("run_naive: netlist has no LUTs");
+  }
+  result.stats.cnf_initial_clauses = solver.clauses_added();
+
+  const auto note_unknown = [&]() {
+    result.outcome = solver.last_stop() == sat::StopCause::kDeadline
+                         ? attack::Outcome::kTimedOut
+                         : attack::Outcome::kBudgetExhausted;
+  };
+
+  const sat::Lit assume_diff[] = {sat::pos(miter)};
+  while (true) {
+    if (timer.seconds() > opt.time_limit_s) {
+      result.outcome = attack::Outcome::kTimedOut;
+      break;
+    }
+    if (result.iterations >= opt.max_iterations) {
+      result.outcome = attack::Outcome::kBudgetExhausted;
+      break;
+    }
+    solver.set_conflict_budget(opt.work_budget);
+    solver.set_deadline(std::max(0.0, opt.time_limit_s - timer.seconds()));
+    const sat::Result r = solver.solve(assume_diff);
+    if (r == sat::Result::kUnknown) {
+      note_unknown();
+      break;
+    }
+    if (r == sat::Result::kUnsat) {
+      // No distinguishing input remains: extract any consistent key.
+      solver.set_conflict_budget(opt.work_budget);
+      const sat::Result final_r = solver.solve();
+      if (final_r != sat::Result::kSat) {
+        if (final_r == sat::Result::kUnknown) note_unknown();
+        break;
+      }
+      for (const auto& [name, vars] : copy_a.key_vars) {
+        std::uint64_t mask = 0;
+        for (std::size_t row = 0; row < vars.size(); ++row) {
+          if (solver.value(vars[row])) mask |= (1ull << row);
+        }
+        result.key[name] = mask;
+      }
+      result.outcome = attack::Outcome::kSolved;
+      break;
+    }
+
+    // SAT: read the DIP, query the chip, constrain both key sets.
+    ++result.iterations;
+    std::vector<bool> dip(copy_a.input_vars.size());
+    for (std::size_t i = 0; i < dip.size(); ++i) {
+      dip[i] = solver.value(copy_a.input_vars[i]);
+    }
+    const std::vector<bool> response = oracle.query(dip);
+
+    EncodeOptions io_a;
+    io_a.symbolic_keys = true;
+    io_a.share_keys = &copy_a.key_vars;
+    constrain_io(solver, encode_comb(solver, hybrid, io_a), dip, response);
+    EncodeOptions io_b;
+    io_b.symbolic_keys = true;
+    io_b.share_keys = &copy_b.key_vars;
+    constrain_io(solver, encode_comb(solver, hybrid, io_b), dip, response);
+  }
+
+  result.queries = oracle.queries() - queries_before;
+  result.conflicts = solver.conflicts();
+  result.stats.decisions = solver.decisions();
+  result.stats.propagations = solver.propagations();
+  result.stats.learned = solver.learned();
+  result.stats.peak_clauses = solver.peak_clauses();
+  result.stats.cnf_dip_clauses =
+      solver.clauses_added() - result.stats.cnf_initial_clauses;
+  result.stats.cnf_clauses_per_iter =
+      result.iterations > 0 ? static_cast<double>(result.stats.cnf_dip_clauses) /
+                                  result.iterations
+                            : 0.0;
+  result.elapsed_s = timer.seconds();
+  return result;
 }
 
 }  // namespace
@@ -147,9 +267,12 @@ int main(int argc, char** argv) {
 
   std::vector<ModeResult> modes;
   const auto run_mode = [&](const std::string& name,
-                            const SatAttackOptions& opt) {
+                            const SatAttackOptions& opt, bool naive = false) {
     ScanOracle oracle(chip);
-    ModeResult m{name, run_sat_attack(view, oracle, opt), 0};
+    ModeResult m{name,
+                 naive ? run_naive(view, oracle, opt)
+                       : run_sat_attack(view, oracle, opt),
+                 0};
     if (m.attack.success()) {
       Netlist recovered = view;
       apply_key(recovered, m.attack.key);
@@ -173,9 +296,7 @@ int main(int argc, char** argv) {
   base.time_limit_s = time_limit;
   base.max_iterations = 100000;
 
-  SatAttackOptions naive = base;
-  naive.cone_pruning = false;
-  run_mode("naive", naive);
+  run_mode("naive", base, /*naive=*/true);
 
   SatAttackOptions pruned = base;
   pruned.warmup_words = 0;
@@ -220,7 +341,23 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const double naive_s = modes[0].attack.elapsed_s;
+  // The pruned encoder's reason to exist: per-DIP CNF growth tracks the
+  // key cone, not the circuit, so it must stay below the naive engine's.
+  const SatAttackResult& naive = modes[0].attack;
+  for (std::size_t i = 1; i <= 2; ++i) {
+    const SatAttackResult& pruned = modes[i].attack;
+    if (pruned.iterations > 0 && naive.iterations > 0 &&
+        pruned.stats.cnf_clauses_per_iter >= naive.stats.cnf_clauses_per_iter) {
+      std::fprintf(stderr,
+                   "bench_sat_perf: mode %s adds %.1f clauses/DIP, not fewer "
+                   "than naive's %.1f\n",
+                   modes[i].name.c_str(), pruned.stats.cnf_clauses_per_iter,
+                   naive.stats.cnf_clauses_per_iter);
+      return 1;
+    }
+  }
+
+  const double naive_s = naive.elapsed_s;
   std::string json = "{\n";
   json += "  \"benchmark\": \"" + profile->name + "\",\n";
   json += "  \"algorithm\": \"" + alg_name + "\",\n";

@@ -6,7 +6,7 @@
 
 #include "core/similarity.hpp"
 #include "obs/obs.hpp"
-#include "sim/simulator.hpp"
+#include "sim/compiled.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 

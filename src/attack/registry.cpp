@@ -56,8 +56,6 @@ UnifiedResult run_sat(const Ctx& c) {
   for (const auto& [k, v] : c.tuning) {
     if (k == "portfolio") {
       opt.portfolio = std::stoi(v);
-    } else if (k == "naive") {
-      opt.cone_pruning = !truthy(v);
     } else if (k == "max_iterations") {
       opt.max_iterations = std::stoi(v);
     } else if (k == "warmup_words") {
@@ -299,64 +297,92 @@ const std::map<std::string, Runner, std::less<>>& runners() {
   return m;
 }
 
+/// Render a knob default the way the adapters above parse it back (bools
+/// as 1/0, numbers in their shortest stream form).
+template <typename T>
+std::string show(T v) {
+  std::ostringstream o;
+  o << v;
+  return o.str();
+}
+
 // Catalogue text for `sttlock attack --list`. The knob keys must stay in
-// lock-step with the adapters above (attack_api_test pins the coverage).
+// lock-step with the adapters above; every default is read from a
+// default-constructed options struct, so the listing cannot drift from what
+// the attack runs (attack_api_test replays each listed default).
 const std::map<std::string, AttackInfo, std::less<>>& catalogue_entries() {
-  static const std::map<std::string, AttackInfo, std::less<>> m = {
-      {"bf",
-       {"bf",
-        "exhaustive key search over the Eq. (3) candidate space, "
-        "screening-pattern pre-filtered",
-        {{"screening_patterns", "4", "oracle patterns per candidate screen"},
-         {"all_masks", "0", "search all 2^2^k masks, not just standard "
-                            "gate candidates"}}}},
-      {"dpa",
-       {"dpa",
-        "differential power analysis of one STT LUT from a simulated "
-        "power trace",
-        {{"cycles", "256", "measured trace length in clock cycles"},
-         {"noise_fj", "0", "gaussian measurement noise sigma (fJ)"},
-         {"target", "<first LUT>", "name of the LUT cell to attack"}}}},
-      {"gsens",
-       {"gsens",
-        "SAT-guided sensitization: prove or refute a propagation witness "
-        "per truth-table row",
-        {{"max_witnesses_per_row", "8",
-          "witness attempts before a row is abandoned"}}}},
-      {"ml",
-       {"ml",
-        "simulated-annealing model fit of the key against oracle responses",
-        {{"training_patterns", "256", "oracle patterns in the training set"},
-         {"bitflip", "0", "anneal over raw mask bits instead of standard "
-                          "gate candidates"}}}},
-      {"sat",
-       {"sat",
-        "oracle-guided SAT attack (DIP refinement, cone-pruned encoding, "
-        "optional solver portfolio)",
-        {{"portfolio", "1", "parallel solver portfolio size"},
-         {"naive", "0", "legacy full-copy DIP encoding"},
-         {"max_iterations", "0", "DIP cap (0 = unlimited)"},
-         {"warmup_words", "16", "64-pattern simulation words seeding the "
-                                "learned-row warm-up"},
-         {"slice_conflicts", "0", "conflict budget per portfolio slice"}}}},
-      {"sens",
-       {"sens",
-        "classic input-sensitization attack: justify each row, observe "
-        "through a sensitized path",
-        {}}},
-      {"seq",
-       {"seq",
-        "sequential SAT attack: time-frame unrolling against a "
-        "scan-locked chip",
-        {{"frames", "8", "unrolled time frames per query"},
-         {"max_iterations", "0", "distinguishing-sequence cap "
-                                 "(0 = unlimited)"}}}},
-      {"static",
-       {"static",
-        "oracle-free key-dependency analysis: unit-propagates injected "
-        "constants and claims removable key cells with zero queries",
-        {}}},
-  };
+  static const std::map<std::string, AttackInfo, std::less<>> m = [] {
+    const BruteForceOptions bf;
+    const TraceOptions trace;
+    const GuidedSensOptions gsens;
+    const MlAttackOptions ml;
+    const SatAttackOptions sat;
+    const SeqAttackOptions seq;
+    return std::map<std::string, AttackInfo, std::less<>>{
+        {"bf",
+         {"bf",
+          "exhaustive key search over the Eq. (3) candidate space, "
+          "screening-pattern pre-filtered",
+          {{"screening_patterns", show(bf.screening_patterns),
+            "oracle patterns per candidate screen"},
+           {"all_masks", show(!bf.standard_candidates_only),
+            "search all 2^2^k masks, not just standard gate candidates"}}}},
+        {"dpa",
+         {"dpa",
+          "differential power analysis of one STT LUT from a simulated "
+          "power trace",
+          {{"cycles", show(trace.cycles),
+            "measured trace length in clock cycles"},
+           {"noise_fj", show(trace.noise_sigma_fj),
+            "gaussian measurement noise sigma (fJ)"},
+           {"target", "<first LUT>", "name of the LUT cell to attack"}}}},
+        {"gsens",
+         {"gsens",
+          "SAT-guided sensitization: prove or refute a propagation witness "
+          "per truth-table row",
+          {{"max_witnesses_per_row", show(gsens.max_witnesses_per_row),
+            "witness attempts before a row is abandoned"}}}},
+        {"ml",
+         {"ml",
+          "simulated-annealing model fit of the key against oracle "
+          "responses",
+          {{"training_patterns", show(ml.training_patterns),
+            "oracle patterns in the training set"},
+           {"bitflip", show(!ml.standard_candidates_only),
+            "anneal over raw mask bits instead of standard gate "
+            "candidates"}}}},
+        {"sat",
+         {"sat",
+          "oracle-guided SAT attack (DIP refinement, cone-pruned encoding, "
+          "optional solver portfolio)",
+          {{"portfolio", show(sat.portfolio),
+            "parallel solver portfolio size"},
+           {"max_iterations", show(sat.max_iterations),
+            "DIP cap; reaching it ends the attack as budget_exhausted"},
+           {"warmup_words", show(sat.warmup_words),
+            "64-pattern simulation words seeding the learned-row warm-up"},
+           {"slice_conflicts", show(sat.slice_conflicts),
+            "conflict budget per portfolio slice"}}}},
+        {"sens",
+         {"sens",
+          "classic input-sensitization attack: justify each row, observe "
+          "through a sensitized path",
+          {}}},
+        {"seq",
+         {"seq",
+          "sequential SAT attack: time-frame unrolling against a "
+          "scan-locked chip",
+          {{"frames", show(seq.frames), "unrolled time frames per query"},
+           {"max_iterations", show(seq.max_iterations),
+            "distinguishing-sequence cap; reaching it ends the attack as "
+            "budget_exhausted"}}}},
+        {"static",
+         {"static",
+          "oracle-free key-dependency analysis: unit-propagates injected "
+          "constants and claims removable key cells with zero queries",
+          {}}},
+    };
+  }();
   return m;
 }
 

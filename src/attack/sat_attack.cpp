@@ -38,20 +38,6 @@ void publish_solver_stats(const sat::Solver& s) {
   reductions.add(static_cast<std::uint64_t>(s.db_reductions()));
 }
 
-// Pin an encoded copy's inputs to a concrete pattern and its outputs to the
-// oracle's response (legacy full-copy encoding).
-void constrain_io(sat::Solver& solver, const EncodedCircuit& enc,
-                  const std::vector<bool>& in, const std::vector<bool>& out) {
-  for (std::size_t i = 0; i < enc.input_vars.size(); ++i) {
-    solver.add_unit(in[i] ? sat::pos(enc.input_vars[i])
-                          : sat::neg(enc.input_vars[i]));
-  }
-  for (std::size_t i = 0; i < enc.output_vars.size(); ++i) {
-    solver.add_unit(out[i] ? sat::pos(enc.output_vars[i])
-                           : sat::neg(enc.output_vars[i]));
-  }
-}
-
 double remaining_deadline(const Timer& timer, const SatAttackOptions& opt) {
   return std::max(0.0, opt.time_limit_s - timer.seconds());
 }
@@ -66,103 +52,6 @@ void extract_key(const sat::Solver& solver,
     }
     key[name] = mask;
   }
-}
-
-// The legacy engine (PR 3 baseline): two full symbolic copies re-encoded
-// per DIP, one solver. Kept selectable for benchmarking the cone-pruned
-// path against it; the only change is that the wall-clock limit is now
-// threaded into the solver as a deadline.
-SatAttackResult run_naive(const Netlist& hybrid, ScanOracle& oracle,
-                          const SatAttackOptions& opt) {
-  SatAttackResult result;
-  const Timer timer;
-  const std::uint64_t queries_before = oracle.queries();
-
-  sat::Solver solver;
-  EncodeOptions symbolic;
-  symbolic.symbolic_keys = true;
-  const EncodedCircuit copy_a = encode_comb(solver, hybrid, symbolic);
-  EncodeOptions opt_b = symbolic;
-  opt_b.share_inputs = &copy_a.input_vars;
-  const EncodedCircuit copy_b = encode_comb(solver, hybrid, opt_b);
-  const sat::Var miter = add_miter(solver, copy_a, copy_b);
-
-  if (copy_a.key_vars.empty()) {
-    throw std::invalid_argument("run_sat_attack: netlist has no LUTs");
-  }
-  result.stats.cnf_initial_clauses = solver.clauses_added();
-
-  const auto note_unknown = [&]() {
-    result.outcome = solver.last_stop() == sat::StopCause::kDeadline
-                         ? attack::Outcome::kTimedOut
-                         : attack::Outcome::kBudgetExhausted;
-  };
-
-  const sat::Lit assume_diff[] = {sat::pos(miter)};
-  while (true) {
-    if (timer.seconds() > opt.time_limit_s) {
-      result.outcome = attack::Outcome::kTimedOut;
-      break;
-    }
-    if (result.iterations >= opt.max_iterations) {
-      result.outcome = attack::Outcome::kBudgetExhausted;
-      break;
-    }
-    STTLOCK_SPAN("sat-dip", "dip");
-    solver.set_conflict_budget(opt.work_budget);
-    solver.set_deadline(remaining_deadline(timer, opt));
-    const sat::Result r = solver.solve(assume_diff);
-    if (r == sat::Result::kUnknown) {
-      note_unknown();
-      break;
-    }
-    if (r == sat::Result::kUnsat) {
-      // No distinguishing input remains: extract any consistent key.
-      solver.set_conflict_budget(opt.work_budget);
-      const sat::Result final_r = solver.solve();
-      if (final_r != sat::Result::kSat) {
-        if (final_r == sat::Result::kUnknown) note_unknown();
-        break;
-      }
-      extract_key(solver, copy_a.key_vars, result.key);
-      result.outcome = attack::Outcome::kSolved;
-      break;
-    }
-
-    // SAT: read the DIP, query the chip, constrain both key sets.
-    ++result.iterations;
-    dip_counter().add(1);
-    std::vector<bool> dip(copy_a.input_vars.size());
-    for (std::size_t i = 0; i < dip.size(); ++i) {
-      dip[i] = solver.value(copy_a.input_vars[i]);
-    }
-    const std::vector<bool> response = oracle.query(dip);
-
-    EncodeOptions io_a;
-    io_a.symbolic_keys = true;
-    io_a.share_keys = &copy_a.key_vars;
-    constrain_io(solver, encode_comb(solver, hybrid, io_a), dip, response);
-    EncodeOptions io_b;
-    io_b.symbolic_keys = true;
-    io_b.share_keys = &copy_b.key_vars;
-    constrain_io(solver, encode_comb(solver, hybrid, io_b), dip, response);
-  }
-
-  publish_solver_stats(solver);
-  result.queries = oracle.queries() - queries_before;
-  result.conflicts = solver.conflicts();
-  result.stats.decisions = solver.decisions();
-  result.stats.propagations = solver.propagations();
-  result.stats.learned = solver.learned();
-  result.stats.peak_clauses = solver.peak_clauses();
-  result.stats.cnf_dip_clauses =
-      solver.clauses_added() - result.stats.cnf_initial_clauses;
-  result.stats.cnf_clauses_per_iter =
-      result.iterations > 0 ? static_cast<double>(result.stats.cnf_dip_clauses) /
-                                  result.iterations
-                            : 0.0;
-  result.elapsed_s = timer.seconds();
-  return result;
 }
 
 /// One portfolio member: a full miter encoding plus its cone-pruned
@@ -435,8 +324,7 @@ SatAttackResult run_sat_attack(const Netlist& hybrid, ScanOracle& oracle,
                                const SatAttackOptions& opt) {
   std::optional<obs::Span> root;
   if (opt.trace) root.emplace("attack", "sat");
-  SatAttackResult result = opt.cone_pruning ? run_pruned(hybrid, oracle, opt)
-                                            : run_naive(hybrid, oracle, opt);
+  SatAttackResult result = run_pruned(hybrid, oracle, opt);
   result.span_id = root ? root->id() : 0;
   return result;
 }

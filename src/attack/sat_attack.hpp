@@ -8,10 +8,10 @@
 // observed I/O pair; when no DIP remains, any satisfying key is
 // functionally correct on the scan view.
 //
-// Engine (fast path, `cone_pruning`): the miter is encoded once; every
-// queried (dip, response) pair is then constant-folded in the attacker's
-// view and only the unresolved key cones emit clauses (attack/dip_encode.*),
-// so per-iteration CNF growth tracks the key cone instead of the circuit.
+// Engine: the miter is encoded once; every queried (dip, response) pair is
+// then constant-folded in the attacker's view and only the unresolved key
+// cones emit clauses (attack/dip_encode.*), so per-iteration CNF growth
+// tracks the key cone instead of the circuit.
 // Before the DIP loop a simulation-guided warm-up floods the oracle with
 // cheap word-parallel random patterns (CompiledSim under ScanOracle::
 // query_batch) and harvests the key rows that fold to single literals as
@@ -59,10 +59,6 @@ struct SatAttackOptions : attack::CommonAttackOptions {
 
   int max_iterations = 512;
 
-  /// Cone-pruned constant-folded DIP encoding (the fast engine). Off =
-  /// the legacy two-full-copies-per-DIP encoding, kept as the benchmark
-  /// baseline; the legacy path ignores warm-up and portfolio.
-  bool cone_pruning = true;
   /// Simulation-guided warm-up: 64*warmup_words random oracle patterns are
   /// folded for free key bits before the DIP loop. 0 disables.
   int warmup_words = 4;

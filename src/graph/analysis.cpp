@@ -73,24 +73,6 @@ std::vector<int> seq_depth_from_pi(const Netlist& nl) {
   return zero_one_bfs(nl, sources, /*forward=*/true);
 }
 
-std::vector<int> tarjan_scc(const std::vector<std::vector<std::uint32_t>>& adj,
-                            int& num_components) {
-  // Flatten to CSR preserving edge order, then run the CSR core — the
-  // numbering only depends on edge order, so both entry points agree.
-  std::vector<std::uint32_t> offsets(adj.size() + 1, 0);
-  std::size_t total = 0;
-  for (std::size_t u = 0; u < adj.size(); ++u) {
-    total += adj[u].size();
-    offsets[u + 1] = static_cast<std::uint32_t>(total);
-  }
-  std::vector<std::uint32_t> targets;
-  targets.reserve(total);
-  for (const auto& row : adj) {
-    targets.insert(targets.end(), row.begin(), row.end());
-  }
-  return tarjan_scc_csr(offsets, targets, num_components);
-}
-
 std::vector<int> tarjan_scc_csr(std::span<const std::uint32_t> offsets,
                                 std::span<const std::uint32_t> targets,
                                 int& num_components) {

@@ -51,16 +51,12 @@ std::vector<CellId> fanin_cone(const Netlist& nl, std::span<const CellId> roots)
 std::vector<CellId> fanout_cone(const Netlist& nl,
                                 std::span<const CellId> roots);
 
-/// Tarjan strongly-connected components over an arbitrary adjacency list.
-/// Returns component index per node, components numbered in reverse
-/// topological order (a component only points to lower-numbered ones).
-std::vector<int> tarjan_scc(const std::vector<std::vector<std::uint32_t>>& adj,
-                            int& num_components);
-
-/// Same algorithm over a CSR adjacency (node u's targets are
-/// targets[offsets[u] .. offsets[u+1])): identical numbering for the same
-/// edge order, but no per-node vector allocations — the form the
-/// million-gate lint scan builds in one counting pass.
+/// Tarjan strongly-connected components over a CSR adjacency (node u's
+/// targets are targets[offsets[u] .. offsets[u+1])), the form the
+/// million-gate lint scan builds in one counting pass. Returns component
+/// index per node, components numbered in reverse topological order (a
+/// component only points to lower-numbered ones); the numbering depends
+/// only on the edge order.
 std::vector<int> tarjan_scc_csr(std::span<const std::uint32_t> offsets,
                                 std::span<const std::uint32_t> targets,
                                 int& num_components);

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "sim/simulator.hpp"
+#include "sim/compiled.hpp"
 
 namespace stt {
 
@@ -60,18 +60,18 @@ PowerTraceResult simulate_power_trace(const Netlist& nl,
     }
   }
 
-  SequentialSimulator sim(nl);
-  sim.reset(false);
-  const std::size_t n_pi = nl.inputs().size();
+  const CompiledSim csim(nl);
+  std::vector<std::uint64_t> state(csim.num_dffs(), 0);
+  std::vector<std::uint64_t> wave(csim.wave_size());
+  std::vector<std::uint64_t> prev_wave(csim.wave_size());
+  const std::size_t n_pi = csim.num_inputs();
   std::vector<std::uint64_t> pi(n_pi, 0);
-  std::vector<std::uint64_t> po(nl.outputs().size());  // reused scratch
-  std::vector<std::uint64_t> prev_wave;
 
   for (int cycle = 0; cycle < opt.cycles; ++cycle) {
     // Record state *before* the cycle, then apply a new PI vector.
-    std::vector<bool> state(nl.dffs().size());
+    std::vector<bool> state_bits(state.size());
     for (std::size_t j = 0; j < state.size(); ++j) {
-      state[j] = sim.state()[j] & 1ull;
+      state_bits[j] = state[j] & 1ull;
     }
     for (auto& w : pi) {
       if (rng.chance(opt.input_toggle)) w ^= 1ull;
@@ -79,11 +79,11 @@ PowerTraceResult simulate_power_trace(const Netlist& nl,
     std::vector<bool> pi_vec(n_pi);
     for (std::size_t i = 0; i < n_pi; ++i) pi_vec[i] = pi[i] & 1ull;
 
-    sim.step_into(pi, po);
-    const auto wave = sim.last_wave();
+    csim.eval_word(pi, state, wave);
+    csim.gather_next_state(1, wave, state);
 
     double energy = leak_baseline;
-    if (!prev_wave.empty()) {
+    if (cycle > 0) {
       for (CellId id = 0; id < nl.size(); ++id) {
         const Cell& c = nl.cell(id);
         const bool now = wave[id] & 1ull;
@@ -107,8 +107,8 @@ PowerTraceResult simulate_power_trace(const Netlist& nl,
 
     result.trace_fj.push_back(energy);
     result.pi_bits.push_back(std::move(pi_vec));
-    result.state_bits.push_back(std::move(state));
-    prev_wave.assign(wave.begin(), wave.end());
+    result.state_bits.push_back(std::move(state_bits));
+    wave.swap(prev_wave);
   }
   return result;
 }

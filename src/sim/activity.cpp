@@ -2,21 +2,21 @@
 
 #include <bit>
 
-#include "sim/simulator.hpp"
+#include "sim/compiled.hpp"
 
 namespace stt {
 
 ActivityResult estimate_activity(const Netlist& nl, Rng& rng,
                                  const ActivityOptions& opt) {
-  SequentialSimulator sim(nl);
-  const auto n_pi = nl.inputs().size();
+  const CompiledSim csim(nl);
+  std::vector<std::uint64_t> state(csim.num_dffs(), 0);
+  std::vector<std::uint64_t> wave(csim.wave_size());
+  std::vector<std::uint64_t> prev_wave(csim.wave_size());
 
-  std::vector<std::uint64_t> pi(n_pi, 0);
+  std::vector<std::uint64_t> pi(csim.num_inputs(), 0);
   for (auto& w : pi) w = rng();
 
-  std::vector<std::uint64_t> prev_wave;
   std::vector<std::uint64_t> toggles(nl.size(), 0);
-  std::vector<std::uint64_t> po(nl.outputs().size());  // reused scratch
 
   const int total = opt.warmup + opt.cycles;
   for (int cycle = 0; cycle < total; ++cycle) {
@@ -28,14 +28,14 @@ ActivityResult estimate_activity(const Netlist& nl, Rng& rng,
       }
       w ^= flip;
     }
-    sim.step_into(pi, po);
-    const auto wave = sim.last_wave();
-    if (cycle >= opt.warmup && !prev_wave.empty()) {
+    csim.eval_word(pi, state, wave);
+    csim.gather_next_state(1, wave, state);
+    if (cycle > 0 && cycle >= opt.warmup) {
       for (std::size_t id = 0; id < wave.size(); ++id) {
         toggles[id] += std::popcount(wave[id] ^ prev_wave[id]);
       }
     }
-    prev_wave.assign(wave.begin(), wave.end());
+    wave.swap(prev_wave);
   }
 
   ActivityResult result;

@@ -18,6 +18,7 @@
 #include "attack/seq_attack.hpp"
 #include "core/flow.hpp"
 #include "core/hybrid.hpp"
+#include "defense/registry.hpp"
 #include "power/trace.hpp"
 #include "synth/generator.hpp"
 #include "tech/tech_library.hpp"
@@ -40,6 +41,18 @@ const Locked& locked() {
     FlowResult flow =
         run_secure_flow(original, TechLibrary::cmos90_stt(), opt);
     return Locked{flow.hybrid, foundry_view(flow.hybrid)};
+  }();
+  return l;
+}
+
+// A lock every attack finishes in well under a second with its defaults:
+// four XOR key gates on the five-flip-flop s832 replica.
+const Locked& small_locked() {
+  static const Locked l = [] {
+    const Netlist original = generate_circuit(*find_profile("s832"), 7);
+    defense::DefenseResult r = defense::registry().apply(
+        "xor", original, TechLibrary::cmos90_stt(), {}, {{"count", "4"}});
+    return Locked{r.locked, foundry_view(r.locked)};
   }();
   return l;
 }
@@ -97,24 +110,34 @@ TEST(AttackRegistry, SatMatchesDirectCall) {
   EXPECT_TRUE(u.success());
 }
 
-TEST(AttackRegistry, SatTuningMatchesDirectNaiveCall) {
-  ScanOracle oracle(locked().hybrid);
-  SatAttackOptions opt;
-  opt.cone_pruning = false;
-  const SatAttackResult direct = run_sat_attack(locked().view, oracle, opt);
-  const attack::UnifiedResult u = attack::registry().run(
-      "sat", locked().view, locked().hybrid, {}, {{"naive", "1"}});
-  expect_base_identical(u, direct);
-  EXPECT_EQ(u.conflicts, direct.conflicts);
-}
-
+// Pass-through of the defaults needs no hard lock; the small one keeps the
+// sequential unrolling cheap.
 TEST(AttackRegistry, SeqMatchesDirectCall) {
   const SeqAttackResult direct = run_sequential_sat_attack(
-      locked().view, locked().hybrid, SeqAttackOptions{});
-  const attack::UnifiedResult u =
-      attack::registry().run("seq", locked().view, locked().hybrid);
+      small_locked().view, small_locked().hybrid, SeqAttackOptions{});
+  const attack::UnifiedResult u = attack::registry().run(
+      "seq", small_locked().view, small_locked().hybrid);
   expect_base_identical(u, direct);
   EXPECT_EQ(u.iterations, static_cast<std::uint64_t>(direct.iterations));
+}
+
+// `sttlock attack --list` must print the defaults the attacks really use:
+// passing any listed default back as a knob changes nothing.
+TEST(AttackRegistry, ListedDefaultsAreTheRealDefaults) {
+  const Locked& l = small_locked();
+  for (const attack::AttackInfo& info : attack::registry().catalogue()) {
+    if (info.knobs.empty()) continue;
+    const attack::UnifiedResult base =
+        attack::registry().run(info.name, l.view, l.hybrid);
+    for (const attack::AttackKnob& knob : info.knobs) {
+      if (knob.default_value.starts_with("<")) continue;  // no fixed value
+      SCOPED_TRACE(info.name + " " + knob.key + "=" + knob.default_value);
+      const attack::UnifiedResult u = attack::registry().run(
+          info.name, l.view, l.hybrid, {}, {{knob.key, knob.default_value}});
+      expect_base_identical(u, base);
+      EXPECT_EQ(u.iterations, base.iterations);
+    }
+  }
 }
 
 TEST(AttackRegistry, SensMatchesDirectCall) {

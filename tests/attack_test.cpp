@@ -113,30 +113,22 @@ TEST(SatAttack, MoreLutsNeedMoreIterations) {
   EXPECT_GE(r_large.iterations, r_small.iterations);
 }
 
+// The naive half of this comparison — the seed's full-copy engine, its key
+// checksum and its larger per-DIP CNF growth — is checked by
+// bench/bench_sat_perf.cpp, the engine's only home.
 TEST(SatAttack, PrunedAndNaiveRecoverEquivalentKeys) {
   const CircuitProfile profile{"sat-eq", 7, 5, 5, 110, 7};
   const Netlist original = generate_circuit(profile, 23);
   const auto [orig, hybrid] = lock(original, SelectionAlgorithm::kDependent, 9);
   const Netlist view = foundry_view(hybrid);
 
-  SatAttackOptions pruned;
-  SatAttackOptions naive;
-  naive.cone_pruning = false;
-  const auto rp = run_sat_attack(view, orig, pruned);
-  const auto rn = run_sat_attack(view, orig, naive);
+  const auto rp = run_sat_attack(view, orig, SatAttackOptions{});
   ASSERT_TRUE(rp.success());
-  ASSERT_TRUE(rn.success());
 
-  // Keys may differ on don't-care rows; both must be functionally correct.
-  for (const auto* r : {&rp, &rn}) {
-    Netlist recovered = view;
-    apply_key(recovered, r->key);
-    EXPECT_TRUE(comb_equivalent(recovered, orig));
-  }
-  // The tentpole claim: per-iteration CNF growth is much smaller pruned.
-  if (rp.iterations > 0 && rn.iterations > 0) {
-    EXPECT_LT(rp.stats.cnf_clauses_per_iter, rn.stats.cnf_clauses_per_iter);
-  }
+  // Keys may differ on don't-care rows; the key must be functionally correct.
+  Netlist recovered = view;
+  apply_key(recovered, rp.key);
+  EXPECT_TRUE(comb_equivalent(recovered, orig));
 }
 
 TEST(SatAttack, PortfolioSizeDoesNotChangeResult) {

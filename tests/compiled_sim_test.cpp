@@ -11,16 +11,16 @@
 #include "runtime/thread_pool.hpp"
 #include "sim/compiled.hpp"
 #include "sim/isa.hpp"
-#include "sim/simulator.hpp"
+#include "sim_util.hpp"
 #include "synth/generator.hpp"
 #include "util/rng.hpp"
 
 namespace stt {
 namespace {
 
-// Independent reference: per-lane naive evaluation via eval_gate / direct
+// Independent reference: per-lane evaluation via eval_gate / direct
 // truth-table row lookup — shares no code with the compiled kernels (in
-// particular not eval_cell_word's specialized LUT paths).
+// particular not their specialized LUT paths).
 std::vector<std::uint64_t> ref_eval(const Netlist& nl,
                                     std::span<const std::uint64_t> pi,
                                     std::span<const std::uint64_t> ff) {
@@ -90,7 +90,6 @@ TEST_P(CompiledVsReference, RandomNetlistsMatch) {
   const int seed = GetParam();
   const Netlist nl = locked_circuit(seed);
   const CompiledSim csim(nl);
-  const Simulator sim(nl);
   Rng rng(seed * 977);
   std::vector<std::uint64_t> pi, ff;
   std::vector<std::uint64_t> wave(csim.wave_size());
@@ -102,8 +101,6 @@ TEST_P(CompiledVsReference, RandomNetlistsMatch) {
     for (std::size_t id = 0; id < wave.size(); ++id) {
       ASSERT_EQ(wave[id], expect[id]) << "seed " << seed << " cell " << id;
     }
-    // The ported Simulator must agree with its own compiled engine.
-    EXPECT_EQ(sim.eval_comb(pi, ff), expect);
   }
 }
 
@@ -190,55 +187,6 @@ TEST(CompiledSim, SetLutMaskMatchesRecompile) {
     EXPECT_EQ(a, b) << "patched engine differs from recompiled engine";
   }
   EXPECT_THROW(csim.set_lut_mask(nl.inputs()[0], 1), std::invalid_argument);
-}
-
-TEST(Simulator, SeesLiveMaskAndKindEdits) {
-  // Historical contract: mask edits and in-place gate->LUT conversions made
-  // after construction are visible to the next eval_comb.
-  Netlist nl = locked_circuit(7);
-  const Simulator sim(nl);
-  Rng rng(1234);
-  std::vector<std::uint64_t> pi, ff;
-  random_stimulus(rng, nl, pi, ff);
-  (void)sim.eval_comb(pi, ff);  // compile + evaluate once
-
-  CellId gate = kNullCell;
-  for (const CellId id : nl.logic_cells()) {
-    const Cell& c = nl.cell(id);
-    if (is_replaceable_gate(c.kind) && c.kind != CellKind::kLut &&
-        c.fanin_count() <= kMaxLutInputs) {
-      gate = id;
-      break;
-    }
-  }
-  ASSERT_NE(gate, kNullCell);
-  // In-place gate -> LUT conversion with a random mask, same fan-ins.
-  nl.replace_with_lut(gate, rng() & full_mask(nl.cell(gate).fanin_count()));
-  EXPECT_EQ(sim.eval_comb(pi, ff), ref_eval(nl, pi, ff));
-}
-
-TEST(SequentialSimulator, StepIntoMatchesStepWithoutReallocation) {
-  const Netlist nl = locked_circuit(11);
-  SequentialSimulator a(nl);
-  SequentialSimulator b(nl);
-  a.reset(false);
-  b.reset(false);
-  Rng rng(31);
-  std::vector<std::uint64_t> pi(nl.inputs().size());
-  std::vector<std::uint64_t> po(nl.outputs().size());
-  const std::uint64_t* wave_data = a.last_wave().data();
-  for (int cycle = 0; cycle < 12; ++cycle) {
-    for (auto& w : pi) w = rng();
-    a.step_into(pi, po);
-    const auto expect = b.step(pi);
-    ASSERT_EQ(po.size(), expect.size());
-    for (std::size_t o = 0; o < po.size(); ++o) EXPECT_EQ(po[o], expect[o]);
-    for (std::size_t j = 0; j < nl.dffs().size(); ++j) {
-      EXPECT_EQ(a.state()[j], b.state()[j]);
-    }
-    // The wave buffer is reused, never reallocated.
-    EXPECT_EQ(a.last_wave().data(), wave_data);
-  }
 }
 
 TEST(ScanOracle, QueryWordMatches64SingleQueries) {
@@ -473,18 +421,16 @@ TEST(EvalCellWord, DenseLutMasksUseComplementPathCorrectly) {
   Rng rng(8);
   for (int k = 3; k <= kMaxLutInputs; ++k) {
     for (int trial = 0; trial < 20; ++trial) {
-      Cell cell;
-      cell.kind = CellKind::kLut;
       // Bias dense: OR of two draws asserts ~75% of rows on average.
-      cell.lut_mask = (rng() | rng()) & full_mask(k);
+      const std::uint64_t mask = (rng() | rng()) & full_mask(k);
       std::vector<std::uint64_t> words(k);
       for (int i = 0; i < k; ++i) {
         for (std::uint32_t row = 0; row < num_rows(k); ++row) {
           if (row & (1u << i)) words[i] |= (1ull << row);
         }
       }
-      const std::uint64_t out = eval_cell_word(cell, words);
-      EXPECT_EQ(out & full_mask(k), cell.lut_mask) << "k=" << k;
+      const std::uint64_t out = eval_cell_word(CellKind::kLut, mask, words);
+      EXPECT_EQ(out & full_mask(k), mask) << "k=" << k;
     }
   }
 }

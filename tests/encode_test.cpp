@@ -3,7 +3,8 @@
 #include "attack/encode.hpp"
 #include "core/hybrid.hpp"
 #include "io/bench_io.hpp"
-#include "sim/simulator.hpp"
+#include "sim/compiled.hpp"
+#include "sim_util.hpp"
 #include "synth/generator.hpp"
 #include "util/rng.hpp"
 
@@ -25,7 +26,7 @@ TEST_P(EncodingMatchesSimulation, RandomCircuitsAndPatterns) {
     }
   }
 
-  const Simulator sim(nl);
+  const CompiledSim sim(nl);
   Rng rng(GetParam() * 13 + 1);
   for (int trial = 0; trial < 4; ++trial) {
     sat::Solver solver;
@@ -41,7 +42,7 @@ TEST_P(EncodingMatchesSimulation, RandomCircuitsAndPatterns) {
     const std::size_t n_pi = nl.inputs().size();
     std::vector<bool> pi(in.begin(), in.begin() + n_pi);
     std::vector<bool> ff(in.begin() + n_pi, in.end());
-    const auto po = sim.eval_single(pi, ff);
+    const auto po = eval_single(sim, pi, ff);
     for (std::size_t o = 0; o < po.size(); ++o) {
       EXPECT_EQ(solver.value(enc.output_vars[o]), po[o]) << "output " << o;
     }

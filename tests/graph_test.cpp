@@ -111,6 +111,19 @@ TEST(CircuitSeqDepth, S27) {
   EXPECT_LE(d, 3);
 }
 
+// Tarjan SCC over an adjacency list: flattened to the CSR form that
+// tarjan_scc_csr takes, edge order (and so the numbering) preserved.
+std::vector<int> tarjan_scc_adj(
+    const std::vector<std::vector<std::uint32_t>>& adj, int& num_components) {
+  std::vector<std::uint32_t> offsets{0};
+  std::vector<std::uint32_t> targets;
+  for (const auto& row : adj) {
+    targets.insert(targets.end(), row.begin(), row.end());
+    offsets.push_back(static_cast<std::uint32_t>(targets.size()));
+  }
+  return tarjan_scc_csr(offsets, targets, num_components);
+}
+
 TEST(Tarjan, KnownComponents) {
   // 0 -> 1 -> 2 -> 0 (SCC of 3), 3 -> 4, 2 -> 3.
   std::vector<std::vector<std::uint32_t>> adj(5);
@@ -119,7 +132,7 @@ TEST(Tarjan, KnownComponents) {
   adj[2] = {0, 3};
   adj[3] = {4};
   int n = 0;
-  const auto comp = tarjan_scc(adj, n);
+  const auto comp = tarjan_scc_adj(adj, n);
   EXPECT_EQ(n, 3);
   EXPECT_EQ(comp[0], comp[1]);
   EXPECT_EQ(comp[1], comp[2]);
@@ -133,10 +146,10 @@ TEST(Tarjan, KnownComponents) {
 TEST(Tarjan, EmptyAndSingleton) {
   std::vector<std::vector<std::uint32_t>> adj;
   int n = -1;
-  tarjan_scc(adj, n);
+  tarjan_scc_adj(adj, n);
   EXPECT_EQ(n, 0);
   adj.resize(1);
-  const auto comp = tarjan_scc(adj, n);
+  const auto comp = tarjan_scc_adj(adj, n);
   EXPECT_EQ(n, 1);
   EXPECT_EQ(comp[0], 0);
 }
@@ -302,7 +315,7 @@ int circuit_seq_depth(const Netlist& nl) {
   }
 
   int num_comp = 0;
-  const std::vector<int> comp = tarjan_scc(adj, num_comp);
+  const std::vector<int> comp = tarjan_scc_adj(adj, num_comp);
 
   // Component weights: number of flip-flops (SRC/SNK weigh 0).
   std::vector<int> weight(num_comp, 0);

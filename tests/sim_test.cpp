@@ -2,8 +2,9 @@
 
 #include "io/bench_io.hpp"
 #include "sim/activity.hpp"
-#include "sim/simulator.hpp"
+#include "sim/compiled.hpp"
 #include "sim/ternary.hpp"
+#include "sim_util.hpp"
 #include "synth/generator.hpp"
 #include "util/rng.hpp"
 #include "verify/dataflow.hpp"
@@ -11,15 +12,13 @@
 namespace stt {
 namespace {
 
-// Property: word-parallel cell evaluation agrees with eval_gate on every
-// row, for every standard kind and fan-in.
+// Property: word-parallel cell evaluation (a one-cell CompiledSim) agrees
+// with eval_gate on every row, for every standard kind and fan-in.
 class WordEvalMatchesGate
     : public ::testing::TestWithParam<std::tuple<CellKind, int>> {};
 
 TEST_P(WordEvalMatchesGate, AllRows) {
   const auto [kind, fanin] = GetParam();
-  Cell cell;
-  cell.kind = kind;
   std::vector<std::uint64_t> words(fanin, 0);
   // Pack all rows into word lanes: lane r carries input assignment r.
   for (int i = 0; i < fanin; ++i) {
@@ -27,7 +26,7 @@ TEST_P(WordEvalMatchesGate, AllRows) {
       if (row & (1u << i)) words[i] |= (1ull << row);
     }
   }
-  const std::uint64_t out = eval_cell_word(cell, words);
+  const std::uint64_t out = eval_cell_word(kind, 0, words);
   for (std::uint32_t row = 0; row < num_rows(fanin); ++row) {
     EXPECT_EQ(((out >> row) & 1ull) != 0, eval_gate(kind, row, fanin))
         << kind_name(kind) << " fanin " << fanin << " row " << row;
@@ -45,54 +44,58 @@ TEST(WordEval, LutMatchesItsMask) {
   Rng rng(3);
   for (int k = 1; k <= kMaxLutInputs; ++k) {
     for (int trial = 0; trial < 10; ++trial) {
-      Cell cell;
-      cell.kind = CellKind::kLut;
-      cell.lut_mask = rng() & full_mask(k);
+      const std::uint64_t mask = rng() & full_mask(k);
       std::vector<std::uint64_t> words(k);
       for (int i = 0; i < k; ++i) {
         for (std::uint32_t row = 0; row < num_rows(k); ++row) {
           if (row & (1u << i)) words[i] |= (1ull << row);
         }
       }
-      const std::uint64_t out = eval_cell_word(cell, words);
-      EXPECT_EQ(out & full_mask(k), cell.lut_mask);
+      const std::uint64_t out = eval_cell_word(CellKind::kLut, mask, words);
+      EXPECT_EQ(out & full_mask(k), mask);
     }
   }
 }
 
 TEST(Simulator, S27KnownVectors) {
   const Netlist nl = embedded_netlist("s27");
-  const Simulator sim(nl);
+  const CompiledSim sim(nl);
   // With all PIs 0 and state (G5,G6,G7) = 0:
   //   G14 = NOT(G0)=1, G8 = AND(G14,G6)=0, G12 = NOR(G1,G7)=1,
   //   G15 = OR(G12,G8)=1, G16 = OR(G3,G8)=0, G9 = NAND(G16,G15)=1,
   //   G10 = NOR(G14,G11); G11 = NOR(G5,G9)=0 -> G10 = NOR(1,0)=0,
   //   G13 = NOR(G2,G12)=0, G17 = NOT(G11)=1.
-  const auto out = sim.eval_single({false, false, false, false},
-                                   {false, false, false});
+  const auto out = eval_single(sim, {false, false, false, false},
+                               {false, false, false});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0]);  // G17 = 1
 }
 
 TEST(Simulator, StimulusSizeMismatchThrows) {
   const Netlist nl = embedded_netlist("s27");
-  const Simulator sim(nl);
-  std::vector<std::uint64_t> bad_pi(2), ff(3);
-  EXPECT_THROW(sim.eval_comb(bad_pi, ff), std::invalid_argument);
+  const CompiledSim sim(nl);
+  std::vector<std::uint64_t> pi(4), bad_pi(2), ff(3), bad_ff(2);
+  std::vector<std::uint64_t> wave(sim.wave_size()), bad_wave(2);
+  EXPECT_THROW(sim.eval_word(bad_pi, ff, wave), std::invalid_argument);
+  EXPECT_THROW(sim.eval_word(pi, bad_ff, wave), std::invalid_argument);
+  EXPECT_THROW(sim.eval_word(pi, ff, bad_wave), std::invalid_argument);
+  EXPECT_NO_THROW(sim.eval_word(pi, ff, wave));
 }
 
 TEST(Simulator, WordLanesAreIndependent) {
   // Evaluating 64 patterns at once equals evaluating them one by one.
   CircuitProfile profile{"lanes", 6, 4, 3, 40, 5};
   const Netlist nl = generate_circuit(profile, 77);
-  const Simulator sim(nl);
+  const CompiledSim sim(nl);
   Rng rng(123);
   std::vector<std::uint64_t> pis(nl.inputs().size());
   std::vector<std::uint64_t> ffs(nl.dffs().size());
   for (auto& w : pis) w = rng();
   for (auto& w : ffs) w = rng();
-  const auto wave = sim.eval_comb(pis, ffs);
-  const auto word_out = sim.outputs_of(wave);
+  std::vector<std::uint64_t> wave(sim.wave_size());
+  sim.eval_word(pis, ffs, wave);
+  std::vector<std::uint64_t> word_out(sim.num_outputs());
+  sim.gather_outputs(1, wave, word_out);
 
   for (int lane = 0; lane < 64; lane += 17) {
     std::vector<bool> pi_bits(pis.size());
@@ -103,23 +106,36 @@ TEST(Simulator, WordLanesAreIndependent) {
     for (std::size_t j = 0; j < ffs.size(); ++j) {
       ff_bits[j] = (ffs[j] >> lane) & 1ull;
     }
-    const auto single = sim.eval_single(pi_bits, ff_bits);
+    const auto single = eval_single(sim, pi_bits, ff_bits);
     for (std::size_t o = 0; o < single.size(); ++o) {
       EXPECT_EQ(single[o], ((word_out[o] >> lane) & 1ull) != 0);
     }
   }
 }
 
+// One clock of a caller-owned state: evaluate, return the PO words, latch
+// the next state in place.
+std::vector<std::uint64_t> step(const CompiledSim& sim,
+                                std::span<const std::uint64_t> pi,
+                                std::vector<std::uint64_t>& state) {
+  std::vector<std::uint64_t> wave(sim.wave_size());
+  sim.eval_word(pi, state, wave);
+  sim.gather_next_state(1, wave, state);
+  std::vector<std::uint64_t> out(sim.num_outputs());
+  sim.gather_outputs(1, wave, out);
+  return out;
+}
+
 TEST(SequentialSimulator, CounterCountsUp) {
   const Netlist nl = embedded_netlist("count2");
-  SequentialSimulator sim(nl);
-  sim.reset(false);
+  const CompiledSim sim(nl);
+  std::vector<std::uint64_t> state(sim.num_dffs(), 0);
   // en=1, clr=0 for every lane.
   const std::vector<std::uint64_t> stim{~0ull, 0ull};
   // count2's outputs are the *current* state (q0,q1) before the clock edge.
   int expected = 0;
   for (int cycle = 0; cycle < 8; ++cycle) {
-    const auto out = sim.step(stim);
+    const auto out = step(sim, stim, state);
     const int q = static_cast<int>((out[0] & 1ull) | ((out[1] & 1ull) << 1));
     EXPECT_EQ(q, expected % 4) << "cycle " << cycle;
     ++expected;
@@ -128,23 +144,29 @@ TEST(SequentialSimulator, CounterCountsUp) {
 
 TEST(SequentialSimulator, ClearForcesZero) {
   const Netlist nl = embedded_netlist("count2");
-  SequentialSimulator sim(nl);
-  sim.reset(true);  // all-ones state
+  const CompiledSim sim(nl);
+  std::vector<std::uint64_t> state(sim.num_dffs(), ~0ull);  // all-ones state
   const std::vector<std::uint64_t> clr{0ull, ~0ull};  // en=0, clr=1
-  (void)sim.step(clr);
-  const auto out = sim.step(clr);
+  (void)step(sim, clr, state);
+  const auto out = step(sim, clr, state);
   EXPECT_EQ(out[0], 0ull);
   EXPECT_EQ(out[1], 0ull);
 }
 
 TEST(SequentialSimulator, SetStateRoundtrip) {
+  // Caller-owned state reaches the flip-flop rows of the wave unchanged,
+  // and a state of the wrong size is rejected.
   const Netlist nl = embedded_netlist("s27");
-  SequentialSimulator sim(nl);
+  const CompiledSim sim(nl);
+  const std::vector<std::uint64_t> pi(sim.num_inputs(), 0);
   const std::vector<std::uint64_t> state{1, 2, 3};
-  sim.set_state(state);
-  EXPECT_EQ(sim.state()[2], 3ull);
+  std::vector<std::uint64_t> wave(sim.wave_size());
+  sim.eval_word(pi, state, wave);
+  for (std::size_t j = 0; j < state.size(); ++j) {
+    EXPECT_EQ(wave[sim.dff_cells()[j]], state[j]);
+  }
   std::vector<std::uint64_t> bad(2);
-  EXPECT_THROW(sim.set_state(bad), std::invalid_argument);
+  EXPECT_THROW(sim.eval_word(pi, bad, wave), std::invalid_argument);
 }
 
 // ---------------------------------------------------------- ternary ----
@@ -251,7 +273,7 @@ std::vector<Tri> ternary_outputs(const Netlist& nl,
 TEST(TernarySimulator, MatchesBinaryOnDefiniteInputs) {
   CircuitProfile profile{"tern", 5, 4, 3, 40, 5};
   const Netlist nl = generate_circuit(profile, 9);
-  const Simulator bin(nl);
+  const CompiledSim bin(nl);
   Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<bool> pi(nl.inputs().size());
@@ -261,7 +283,7 @@ TEST(TernarySimulator, MatchesBinaryOnDefiniteInputs) {
     std::vector<Tri> sources;
     for (const bool b : pi) sources.push_back(tri_from_bool(b));
     for (const bool b : ff) sources.push_back(tri_from_bool(b));
-    const auto expect = bin.eval_single(pi, ff);
+    const auto expect = eval_single(bin, pi, ff);
     const auto got = ternary_outputs(nl, sources);
     for (std::size_t o = 0; o < expect.size(); ++o) {
       EXPECT_EQ(got[o], tri_from_bool(expect[o]));
@@ -278,11 +300,11 @@ TEST(TernarySimulator, XStateStaysConservative) {
   // G17 = NOT(G11) where G11 = NOR(G5, G9): with unknown state the output
   // may or may not be X, but it must never contradict a definite evaluation
   // of any concrete state. Check against both all-0 and all-1 states.
-  const Simulator bin(nl);
-  const auto o0 = bin.eval_single({false, false, false, false},
-                                  {false, false, false});
-  const auto o1 = bin.eval_single({false, false, false, false},
-                                  {true, true, true});
+  const CompiledSim bin(nl);
+  const auto o0 = eval_single(bin, {false, false, false, false},
+                              {false, false, false});
+  const auto o1 = eval_single(bin, {false, false, false, false},
+                              {true, true, true});
   const Tri got = ternary_outputs(nl, sources)[0];
   if (got != Tri::kX) {
     EXPECT_EQ(got, tri_from_bool(o0[0]));

@@ -8,7 +8,8 @@
 #include "io/verilog_writer.hpp"
 #include "power/power.hpp"
 #include "sim/scoap.hpp"
-#include "sim/simulator.hpp"
+#include "sim/compiled.hpp"
+#include "sim_util.hpp"
 #include "sim/ternary.hpp"
 #include "timing/sta.hpp"
 #include "verify/dataflow.hpp"
@@ -51,15 +52,15 @@ TEST(WideGates, FaninBeyondGateCapRejected) {
 
 TEST(WideGates, SimulationIsExact) {
   const Netlist nl = wide_circuit();
-  const Simulator sim(nl);
+  const CompiledSim sim(nl);
   std::vector<bool> all1(9, true);
   std::vector<bool> mixed(9, true);
   mixed[4] = false;
   std::vector<bool> all0(9, false);
-  EXPECT_TRUE(sim.eval_single(all1, {})[0]);    // AND
-  EXPECT_FALSE(sim.eval_single(mixed, {})[0]);
-  EXPECT_FALSE(sim.eval_single(all1, {})[1]);   // NOR
-  EXPECT_TRUE(sim.eval_single(all0, {})[1]);
+  EXPECT_TRUE(eval_single(sim, all1, {})[0]);    // AND
+  EXPECT_FALSE(eval_single(sim, mixed, {})[0]);
+  EXPECT_FALSE(eval_single(sim, all1, {})[1]);   // NOR
+  EXPECT_TRUE(eval_single(sim, all0, {})[1]);
 }
 
 TEST(WideGates, TernaryKleeneRules) {

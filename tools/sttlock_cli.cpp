@@ -12,7 +12,7 @@
 //   sttlock attack  --view f.bench --oracle h.bench
 //                   --kind sat|seq|sens|gsens|bf|ml|dpa|static
 //                   [--seed S --time-limit T --query-budget Q --work-budget W]
-//                   [--tune k=v,... --portfolio K --jobs N --naive]
+//                   [--tune k=v,... --portfolio K --jobs N]
 //                   [--trace t.json --metrics m.json]
 //   sttlock attack  --list            (attack kinds + tuning knobs)
 //   sttlock convert --in x.bench --out y.v     (format by extension:
@@ -304,7 +304,6 @@ int cmd_attack(const std::vector<std::string>& args) {
                "");
   p.add_option("--portfolio", "sat solver portfolio size (sugar for --tune)",
                "1");
-  p.add_flag("--naive", "legacy full-copy DIP encoding (sat baseline)");
   cli::CommonOptions common_opt(p, cli::kJobs | cli::kObs | cli::kSimIsa);
   p.parse(args);
   if (p.flag("--list")) return list_attacks();
@@ -340,7 +339,6 @@ int cmd_attack(const std::vector<std::string>& args) {
   if (p.get_int("--portfolio") != 1) {
     tuning.emplace_back("portfolio", p.get("--portfolio"));
   }
-  if (p.flag("--naive")) tuning.emplace_back("naive", "1");
 
   const unsigned jobs = common_opt.jobs();
   ThreadPool pool(jobs == 0 ? 0u : jobs);
